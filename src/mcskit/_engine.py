@@ -2,28 +2,25 @@
 
 The randomized search recomputes, for every slot k of the current
 subsequence, the per-string middle substrings and the multiset of
-characters they share. This module provides that scan twice over:
-
-* a plain-Python path built directly on the contract primitives in
-  :mod:`mcskit.subsequence`, used for small inputs and as the reference;
-* a numpy path that batches all slots and strings at once, used for
-  large inputs where the per-character Python loop dominates runtime.
-
-Both paths return identical results; the tests assert this on inputs
-straddling the dispatch threshold. Only characters common to every
-string can ever appear in a bag, so the numpy path restricts its
-alphabet to those characters, keeping the tables small.
+characters they share. :class:`BreakpointScanner` batches that scan over
+all slots and strings at once with numpy occurrence tables; the contract
+primitives in :mod:`mcskit.subsequence` define what it must return, and
+the tests compare the two. Only characters common to every string can
+ever appear in a bag, so the tables cover just those characters.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .subsequence import common_chars, middle
 
-# Inputs with fewer total characters than this use the Python path; the
-# numpy path has fixed per-call overhead that only pays off above it.
-ENGINE_MIN_CHARS = 65
+def code_points(text: str) -> np.ndarray:
+    """Code points of ``text`` as a uint32 array.
+
+    ``surrogatepass`` keeps lone surrogates such as ``"\\ud800"``, which a
+    ``str`` may hold but a plain UTF-32 encode rejects.
+    """
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
 class BreakpointScanner:
@@ -34,127 +31,86 @@ class BreakpointScanner:
     iteration with the growing subsequence.
     """
 
-    def __init__(self, strings: tuple[str, ...], force: str | None = None):
-        if force not in (None, "python", "numpy"):
-            raise ValueError(f"force must be 'python', 'numpy' or None, got {force!r}")
+    def __init__(self, strings: tuple[str, ...]):
         self.strings = strings
-        total = sum(len(s) for s in strings)
-        if force is None:
-            force = "python" if total < ENGINE_MIN_CHARS else "numpy"
-        self.path = force
-        if self.path == "numpy":
-            self._build_tables()
+        shared = sorted(set(strings[0]).intersection(*strings[1:]))
+        self._alphabet = shared
+        self._char_index = {c: i for i, c in enumerate(shared)}
+        lengths = np.array([len(s) for s in strings], dtype=np.int32)
+        n_strings, n_chars = len(strings), len(shared)
+
+        # Boundary i of strings[l] sits at flat offset l * width + i, for
+        # i in 0..width-1. The boundary past the longest string's end keeps
+        # a failed lookup in range. Offsets fit int32: the tables would
+        # need gigabytes before they overflowed.
+        width = int(lengths.max(initial=0)) + 2
+        starts = np.arange(n_strings, dtype=np.int32) * width
+        self._starts = starts
+        self._ends = starts + lengths
+
+        # hit[c, l, i]: strings[l][i] is shared[c]; padding never hits.
+        padded = np.zeros((n_strings, width), dtype=np.uint32)
+        in_string = np.arange(width) < lengths[:, None]
+        padded[in_string] = code_points("".join(strings))
+        hit = (code_points("".join(shared))[:, None, None] == padded) & in_string
+        at = starts[:, None] + np.arange(width, dtype=np.int32)
+
+        # Each table maps (character, boundary offset) to a value, one
+        # flat row per character.
+        # nxt: offset just past the first c at or after the boundary, or
+        # end + 1 when there is none; looking up from end + 1 misses again.
+        nxt = np.where(hit, at + 1, self._ends[:, None] + 1)
+        np.minimum.accumulate(nxt[:, :, ::-1], axis=2, out=nxt[:, :, ::-1])
+        self._nxt = nxt.reshape(n_chars, n_strings * width)
+        # lst: offset of the last c before the boundary (-1 when none).
+        lst = np.full(hit.shape, -1, dtype=np.int32)
+        lst[:, :, 1:] = np.where(hit[:, :, :-1], at[:, :-1], -1)
+        np.maximum.accumulate(lst, axis=2, out=lst)
+        self._lst = lst.reshape(n_chars, n_strings * width)
+        # cum: occurrences of c in the string before the boundary.
+        cum = np.zeros(hit.shape, dtype=np.int32)
+        np.cumsum(hit[:, :, :-1], axis=2, out=cum[:, :, 1:])
+        self._cum = cum.reshape(n_chars, n_strings * width)
 
     def scan(self, w: str) -> list[tuple[int, dict[str, int]]]:
         """All (slot, bag) pairs for common subsequence ``w``, slot-sorted.
 
         ``bag`` maps each character shared by all middle substrings at
         that slot to its minimum occurrence count across them. Slots
-        with empty bags are omitted.
+        with empty bags are omitted. Raises ValueError when ``w`` is not
+        a subsequence of every string.
         """
-        if self.path == "python":
-            return self._scan_python(w)
-        return self._scan_numpy(w)
-
-    def _scan_python(self, w: str) -> list[tuple[int, dict[str, int]]]:
-        out = []
-        for k in range(len(w) + 1):
-            mids = [middle(s, w, k) for s in self.strings]
-            if any(not m for m in mids):
-                continue
-            bag = common_chars(mids)
-            if bag:
-                out.append((k, dict(bag)))
-        return out
-
-    def _build_tables(self) -> None:
-        strings = self.strings
-        shared = sorted(common_chars(strings))
-        self._alphabet = shared
-        self._char_index = {c: i for i, c in enumerate(shared)}
-        n_strings = len(strings)
-        lengths = np.array([len(s) for s in strings], dtype=np.int32)
-        self._lengths = lengths
-        n_max = int(lengths.max(initial=0))
-        n_chars = len(shared)
-
-        # encoded[l, i] = alphabet index of strings[l][i], -1 for characters
-        # outside the shared alphabet and for padding.
-        encoded = np.full((n_strings, n_max), -1, dtype=np.int32)
-        for l, s in enumerate(strings):
-            for i, c in enumerate(s):
-                encoded[l, i] = self._char_index.get(c, -1)
-
-        rows = np.arange(n_strings)
-        # nxt[l, i, c]: smallest position j >= i holding character c, or
-        # len(strings[l]) when absent. Queried at boundaries 0..len.
-        nxt = np.empty((n_strings, n_max + 1, n_chars), dtype=np.int32)
-        nxt[:, n_max, :] = lengths[:, None]
-        for i in range(n_max - 1, -1, -1):
-            nxt[:, i, :] = nxt[:, i + 1, :]
-            col = encoded[:, i]
-            hit = col >= 0
-            nxt[rows[hit], i, col[hit]] = i
-        self._nxt = nxt
-
-        # lst[l, i, c]: largest position j < i holding character c, or -1.
-        lst = np.empty((n_strings, n_max + 1, n_chars), dtype=np.int32)
-        lst[:, 0, :] = -1
-        for i in range(n_max):
-            lst[:, i + 1, :] = lst[:, i, :]
-            col = encoded[:, i]
-            hit = col >= 0
-            lst[rows[hit], i + 1, col[hit]] = i
-        self._lst = lst
-
-        # cum[l, c, i]: occurrences of character c in strings[l][:i].
-        onehot = np.zeros((n_strings, n_max + 1, n_chars), dtype=np.int32)
-        l_idx, i_idx = np.nonzero(encoded >= 0)
-        onehot[l_idx, i_idx + 1, encoded[l_idx, i_idx]] = 1
-        self._cum = np.cumsum(onehot, axis=1).transpose(0, 2, 1)
-
-    def _scan_numpy(self, w: str) -> list[tuple[int, dict[str, int]]]:
-        n_strings = len(self.strings)
-        n_chars = len(self._alphabet)
-        m = len(w)
-        if n_chars == 0:
-            return []
         try:
             codes = [self._char_index[c] for c in w]
         except KeyError as exc:
             raise ValueError(f"{w!r} is not a subsequence of every string") from exc
-        rows = np.arange(n_strings)
+        m = len(w)
 
-        # pre[l, k]: end boundary of the shortest prefix of strings[l]
-        # containing w[:k] (greedy leftmost embedding).
-        pre = np.zeros((n_strings, m + 1), dtype=np.int32)
-        for t in range(1, m + 1):
-            hit = self._nxt[rows, pre[:, t - 1], codes[t - 1]]
-            if np.any(hit >= self._lengths):
-                raise ValueError(f"{w!r} is not a subsequence of every string")
-            pre[:, t] = hit + 1
+        # pre[k]: per string, the offset ending the shortest prefix that
+        # contains w[:k] (greedy leftmost embedding); past the end once a
+        # character of w is missing.
+        pre = np.empty((m + 1, len(self._starts)), dtype=np.int32)
+        pre[0] = self._starts
+        for t, c in enumerate(codes):
+            self._nxt[c].take(pre[t], out=pre[t + 1])
+        if (pre[m] > self._ends).any():
+            raise ValueError(f"{w!r} is not a subsequence of every string")
 
-        # suf[l, k]: start boundary of the shortest suffix containing w[k:]
-        # (greedy rightmost embedding).
-        suf = np.empty((n_strings, m + 1), dtype=np.int32)
-        suf[:, m] = self._lengths
+        # suf[k]: the offset starting the shortest suffix that contains
+        # w[k:] (greedy rightmost embedding); it exists because the
+        # leftmost one does.
+        suf = np.empty_like(pre)
+        suf[m] = self._ends
         for t in range(m - 1, -1, -1):
-            hit = self._lst[rows, suf[:, t + 1], codes[t]]
-            if np.any(hit < 0):
-                raise ValueError(f"{w!r} is not a subsequence of every string")
-            suf[:, t] = hit
+            self._lst[codes[t]].take(suf[t + 1], out=suf[t])
 
-        hi = np.maximum(suf, pre)
-        cols = np.arange(n_chars)
-        counts = (
-            self._cum[rows[:, None, None], cols[None, None, :], hi[:, :, None]]
-            - self._cum[rows[:, None, None], cols[None, None, :], pre[:, :, None]]
-        )
-        bags = counts.min(axis=0)
-
+        # Middle substrings span pre..max(pre, suf); count per character
+        # and keep the minimum over strings.
+        np.maximum(suf, pre, out=suf)
+        bags = (self._cum.take(suf, axis=1) - self._cum.take(pre, axis=1)).min(axis=2).T.tolist()
         out = []
-        for k in np.nonzero(bags.any(axis=1))[0]:
-            row = bags[k]
-            bag = {self._alphabet[c]: int(row[c]) for c in np.nonzero(row)[0]}
-            out.append((int(k), bag))
+        for k, row in enumerate(bags):
+            bag = {c: n for c, n in zip(self._alphabet, row) if n}
+            if bag:
+                out.append((k, bag))
         return out

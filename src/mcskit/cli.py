@@ -23,7 +23,7 @@ from .deterministic import one_mcs
 from .exact import SizeGuardError, lcs_dp
 from .generate import PlantedSpec, planted_strings, random_strings, read_string_file, write_corpus
 from .patterns import extract_pattern, render_pattern
-from .randomized import DEFAULT_SEED, derive_run_seed, random_mcs, run_many
+from .randomized import DEFAULT_SEED, _seeded_runs, run_many
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -152,17 +152,8 @@ def _cmd_mcs(args) -> int:
         )
         print(summary.longest)
         return 0
-    if args.dedup:
-        strings = list(dict.fromkeys(strings))
-    for i in range(args.runs):
-        print(
-            random_mcs(
-                strings,
-                seed=derive_run_seed(args.seed, i),
-                weighting=_weighting(args),
-                start=args.constrain,
-            )
-        )
+    for w in _seeded_runs(strings, args.runs, args.seed, _weighting(args), args.constrain, args.dedup):
+        print(w)
     return 0
 
 

@@ -16,6 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._engine import code_points
 from ._validation import check_strings
 from .subsequence import is_subsequence
 
@@ -67,7 +68,7 @@ def _fill_table(strs: tuple[str, ...]) -> np.ndarray:
     """
     shape = tuple(len(s) + 1 for s in strs)
     dp = np.zeros(shape, dtype=np.int32)
-    last = np.frombuffer(strs[-1].encode("utf-32-le"), dtype=np.uint32)
+    last = code_points(strs[-1])
 
     for outer in np.ndindex(shape[:-1]):
         if 0 in outer:

@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ._engine import BreakpointScanner
 from ._validation import (
@@ -95,6 +95,12 @@ def _search(scanner: BreakpointScanner, rng: Random, weighting: str, start: str)
         w = w[:k] + c + w[k:]
 
 
+def _check_start(strs: tuple[str, ...], start: str) -> None:
+    for i, s in enumerate(strs):
+        if not is_subsequence(start, s):
+            raise ValueError(f"start {start!r} is not a subsequence of string #{i} ({s!r})")
+
+
 def random_mcs(
     strings: Iterable[str],
     seed: int = DEFAULT_SEED,
@@ -112,11 +118,35 @@ def random_mcs(
     strs = check_strings(strings)
     check_seed(seed)
     check_weighting(weighting)
-    for i, s in enumerate(strs):
-        if not is_subsequence(start, s):
-            raise ValueError(f"start {start!r} is not a subsequence of string #{i} ({s!r})")
+    _check_start(strs, start)
     scanner = BreakpointScanner(strs)
     return _search(scanner, Random(seed), weighting, start)
+
+
+def _seeded_runs(
+    strings: Iterable[str],
+    runs: int,
+    master_seed: int,
+    weighting: str,
+    start: str,
+    dedup: bool,
+) -> Iterator[str]:
+    """Validate eagerly, build one scanner, and return an iterator over
+    the results of runs ``0..runs-1``; run ``i`` equals
+    ``random_mcs(strings, seed=derive_run_seed(master_seed, i), ...)``.
+    """
+    strs = check_strings(strings)
+    check_count(runs, "runs")
+    check_seed(master_seed)
+    check_weighting(weighting)
+    _check_start(strs, start)
+    if dedup:
+        strs = tuple(dict.fromkeys(strs))
+    scanner = BreakpointScanner(strs)
+    return (
+        _search(scanner, Random(derive_run_seed(master_seed, i)), weighting, start)
+        for i in range(runs)
+    )
 
 
 def run_many(
@@ -135,20 +165,7 @@ def run_many(
     ``dedup`` drops duplicate strings first; duplicates never change the
     result, only the runtime.
     """
-    strs = check_strings(strings)
-    check_count(runs, "runs")
-    check_seed(master_seed)
-    check_weighting(weighting)
-    for i, s in enumerate(strs):
-        if not is_subsequence(start, s):
-            raise ValueError(f"start {start!r} is not a subsequence of string #{i} ({s!r})")
-    if dedup:
-        strs = tuple(dict.fromkeys(strs))
-    scanner = BreakpointScanner(strs)
-    counts: Counter = Counter()
-    for i in range(runs):
-        rng = Random(derive_run_seed(master_seed, i))
-        counts[_search(scanner, rng, weighting, start)] += 1
+    counts = Counter(_seeded_runs(strings, runs, master_seed, weighting, start, dedup))
     return RunSummary(total_runs=runs, counts=dict(counts))
 
 

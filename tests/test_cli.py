@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mcskit import derive_run_seed, random_mcs
 from mcskit.cli import main
 
 
@@ -79,6 +80,19 @@ class TestMcsCommand:
             capsys, "mcs", "--input", toy_file, "--runs", "3", "--weighted", "--seed", "5"
         )
         assert code == 0 and set(out.split()) <= {"GAP", "EP"}
+
+    def test_runs_equal_random_mcs_at_derived_seeds(self, capsys, tmp_path):
+        strings = ["HGDBFEBEEAEHIGJHJ", "FEIIHBHBHEHCIBCHD", "ECJCCGGGEBBHEAIAJ", "HGDBFEBEEAEHIGJHJ"]
+        p = tmp_path / "four.txt"
+        p.write_text("\n".join(strings) + "\n", encoding="utf-8")
+        variants = [
+            ((), {}),
+            (("--weighted", "--constrain", "EB", "--dedup"), {"weighting": "frequency", "start": "EB"}),
+        ]
+        for extra, kwargs in variants:
+            code, out, _ = run(capsys, "mcs", "--input", str(p), "--seed", "9", "--runs", "12", *extra)
+            expected = [random_mcs(strings, seed=derive_run_seed(9, i), **kwargs) for i in range(12)]
+            assert code == 0 and out == "".join(w + "\n" for w in expected)
 
 
 class TestLcsCommand:

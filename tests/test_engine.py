@@ -1,13 +1,12 @@
-"""The vectorized scan must be observably identical to the primitive
-path: same slots, same bags, same search outputs."""
+"""The vectorized scan must be observably identical to the contract
+primitives: same slots, same bags, same search outputs."""
 
 import random
 
 import pytest
 
-import mcskit._engine as engine
 from mcskit import breakpoints, common_chars, middle, random_mcs, run_many
-from mcskit._engine import ENGINE_MIN_CHARS, BreakpointScanner
+from mcskit._engine import BreakpointScanner
 from tests.conftest import random_instance
 
 
@@ -22,6 +21,14 @@ def common_subsequences_sample(rng, strs, how_many=6):
     return sorted(probes)
 
 
+def contract_scan(strs, w):
+    """The scan spelled out with the contract primitives."""
+    out = []
+    for k in breakpoints(strs, w):
+        out.append((k, dict(common_chars([middle(s, w, k) for s in strs]))))
+    return out
+
+
 class TestScanEquivalence:
     def test_paths_agree_on_random_instances(self):
         rng = random.Random(8)
@@ -30,66 +37,85 @@ class TestScanEquivalence:
             strs = tuple(
                 random_instance(rng, n_strings, rng.randint(1, 25), rng.randint(2, 6), min_len=0)
             )
-            py = BreakpointScanner(strs, force="python")
-            np_ = BreakpointScanner(strs, force="numpy")
+            scanner = BreakpointScanner(strs)
             for w in common_subsequences_sample(rng, strs):
-                assert py.scan(w) == np_.scan(w), (strs, w)
+                assert scanner.scan(w) == contract_scan(strs, w), (strs, w)
 
     def test_paths_agree_with_contract_functions(self):
         rng = random.Random(21)
         for _ in range(25):
             strs = tuple(random_instance(rng, rng.randint(2, 5), 12, 4))
             w = random_mcs(strs, seed=1)[:2]
-            for force in ("python", "numpy"):
-                got = BreakpointScanner(strs, force=force).scan(w)
-                assert [k for k, _ in got] == breakpoints(strs, w)
-                for k, bag in got:
-                    assert bag == dict(common_chars([middle(s, w, k) for s in strs]))
+            assert BreakpointScanner(strs).scan(w) == contract_scan(strs, w), (strs, w)
+
+    def test_agrees_on_non_ascii_strings(self):
+        """Lone surrogates, astral-plane and combining characters."""
+        rng = random.Random(34)
+        chars = ["a", "b", "\u00e9", "\u0301", "\ud800", "\udfff", "\U0001f600", "\U00010348"]
+        for _ in range(25):
+            strs = tuple(
+                "".join(rng.choice(chars) for _ in range(rng.randint(1, 14)))
+                for _ in range(rng.randint(2, 5))
+            )
+            scanner = BreakpointScanner(strs)
+            for w in common_subsequences_sample(rng, strs):
+                assert scanner.scan(w) == contract_scan(strs, w), (strs, w)
 
     def test_numpy_path_rejects_non_common_subsequence(self):
-        scanner = BreakpointScanner(("TEGAP", "GAEPR"), force="numpy")
-        with pytest.raises(ValueError):
-            scanner.scan("XYZ")
-        with pytest.raises(ValueError):
-            scanner.scan("PG")
+        scanner = BreakpointScanner(("TEGAP", "GAEPR"))
+        for w in ("XYZ", "PG", "GAPP"):
+            with pytest.raises(ValueError):
+                scanner.scan(w)
+        # No shared character at all: the tables are empty, w still checked.
+        for strs in [("a" * 40, "b" * 40), ("ab", ""), ("\ud800", "\U0001f600")]:
+            scanner = BreakpointScanner(strs)
+            assert scanner.scan("") == []
+            for w in set(strs[0]):
+                with pytest.raises(ValueError):
+                    scanner.scan(w)
 
     def test_edge_inputs(self):
-        for strs in [("",), ("", "abc"), ("a",), ("abc", "abc", "abc")]:
-            py = BreakpointScanner(strs, force="python").scan("")
-            np_ = BreakpointScanner(strs, force="numpy").scan("")
-            assert py == np_
-
-    def test_dispatch_threshold(self):
-        small = BreakpointScanner(("ab", "ba"))
-        assert small.path == "python"
-        big = BreakpointScanner(tuple("ab" * 40 for _ in range(3)))
-        assert big.path == "numpy"
-
-    def test_bad_force_value(self):
-        with pytest.raises(ValueError):
-            BreakpointScanner(("ab",), force="gpu")
+        for strs in [("",), ("", "abc"), ("a",), ("abc", "abc", "abc"), ("\U0001f600",)]:
+            assert BreakpointScanner(strs).scan("") == contract_scan(strs, "")
 
 
-class TestSearchPathIndependence:
-    def test_same_outputs_under_either_path(self, monkeypatch):
-        rng = random.Random(77)
-        instances = [
-            tuple(random_instance(rng, rng.randint(2, 6), 20, rng.randint(2, 5)))
-            for _ in range(10)
-        ]
-        results = {}
-        for threshold in (0, 10**9):
-            monkeypatch.setattr(engine, "ENGINE_MIN_CHARS", threshold)
-            results[threshold] = [
-                [random_mcs(strs, seed=s) for s in range(8)] for strs in instances
-            ]
-        assert results[0] == results[10**9]
+# Seeded outputs recorded before the plain-Python scan was removed; that
+# scan served inputs under 65 total characters, so the cases sit on both
+# sides of that size.
+GOLDEN = [
+    (
+        ("TEGAPTEGAP", "GAEPRGAEPR", "APGETAPGET"),
+        ["GAPG", "APGAP", "APGAP", "EPE"],
+        ["APGAP", "EPG"],
+        ("GA", ["GEAP", "APGAP"]),
+        {"AEAP": 25, "AEG": 5, "APEP": 11, "APGAP": 53, "EAE": 11, "EGE": 17,
+         "EPE": 7, "EPG": 18, "GAPE": 10, "GAPG": 15, "GEAP": 20, "GEG": 8},
+    ),
+    (
+        ("HGDBFEBEEAEHIGJHJ", "FEIIHBHBHEHCIBCHD", "ECJCCGGGEBBHEAIAJ", "DIBGFIEGGABBCHEIH"),
+        ["EBEI", "BBHI", "EBHI", "HEI"],
+        ["HEI", "BBEI"],
+        ("EB", ["EBHI", "EBHI"]),
+        {"BBEI": 36, "BBHI": 29, "EBEI": 36, "EBHI": 48, "EEH": 13, "HEI": 38},
+    ),
+    (
+        ("EEBDDABFFEEEEADEHBBDBECAH", "GAEGGGDBFEECDBHCGBGAGFGAA", "EHEGGFFHCECGHCFEEBGDCCGFF"),
+        ["EFEEDC", "EEDF", "EFEEBC", "EFEEBC"],
+        ["EFEEBC", "EFEEBC"],
+        ("EF", ["EDFF", "EEBF"]),
+        {"EBDC": 18, "EBDF": 9, "EBFF": 13, "EDFF": 11, "EEBF": 8, "EEDF": 3, "EEECH": 9,
+         "EEEHB": 5, "EEEHC": 4, "EFECH": 37, "EFEEBC": 21, "EFEEDC": 24, "EFEHB": 21,
+         "EFEHC": 17},
+    ),
+]
 
-    def test_summary_identical_under_either_path(self, monkeypatch):
-        strs = ("TEGAPTEGAP", "GAEPRGAEPR", "APGETAPGET")
-        runs = {}
-        for threshold in (0, 10**9):
-            monkeypatch.setattr(engine, "ENGINE_MIN_CHARS", threshold)
-            runs[threshold] = run_many(strs, 300, master_seed=6).counts
-        assert runs[0] == runs[10**9]
-        assert ENGINE_MIN_CHARS == 65
+
+@pytest.mark.parametrize(
+    "strs, uniform, frequency, constrained, counts", GOLDEN, ids=["30-chars", "68-chars", "75-chars"]
+)
+def test_seeded_outputs_pinned(strs, uniform, frequency, constrained, counts):
+    assert [random_mcs(strs, seed=s) for s in range(4)] == uniform
+    assert [random_mcs(strs, seed=s, weighting="frequency") for s in range(2)] == frequency
+    start, expected = constrained
+    assert [random_mcs(strs, seed=s, start=start) for s in range(2)] == expected
+    assert run_many(strs, 200, master_seed=5).counts == counts

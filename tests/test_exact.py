@@ -42,6 +42,16 @@ class TestLcsDp:
             assert len(got) == classic_lcs_len(a, b)
             assert is_subsequence(got, a) and is_subsequence(got, b)
 
+    def test_lone_surrogates_and_astral_characters(self):
+        assert lcs_dp(["a\ud800b", "\ud800ab"]) in enumerate_mcs(["a\ud800b", "\ud800ab"])
+        rng = random.Random(13)
+        chars = ["a", "\ud800", "\udfff", "\U0001f600", "\U00010348"]
+        for _ in range(100):
+            a, b = ("".join(rng.choice(chars) for _ in range(rng.randint(0, 12))) for _ in "ab")
+            got = lcs_dp([a, b])
+            assert len(got) == classic_lcs_len(a, b)
+            assert is_subsequence(got, a) and is_subsequence(got, b)
+
     def test_result_is_common_and_deterministic(self, rng):
         for _ in range(40):
             strs = random_instance(rng, rng.randint(2, 4), 12, rng.randint(2, 5))

@@ -16,7 +16,6 @@ positions i+1..j.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Iterable, Optional
 
 from ._validation import check_strings
@@ -58,71 +57,36 @@ def common_segment(
     strs = check_strings(strings)
     if len(idx_prev) != len(strs) or len(idx_rear) != len(strs):
         raise ValueError("index vectors must have one entry per string")
+    for s, p, r in zip(strs, idx_prev, idx_rear):
+        for i in (p, r):
+            if not 0 <= i <= len(s):
+                raise ValueError(f"boundary {i} out of range for string of length {len(s)}")
+    return _common_segment(strs, idx_prev, idx_rear)
+
+
+def _common_segment(
+    strs: tuple[str, ...], idx_prev: list[int], idx_rear: list[int]
+) -> Optional[tuple[int, str]]:
+    """:func:`common_segment` without input validation.
+
+    Each candidate character is tested once: a character is always
+    inside a segment it ends, so one that fails for one string fails for
+    every string whose segment ends in it.
+    """
     if any(p >= r for p, r in zip(idx_prev, idx_rear)):
         return None
+    tried: set[str] = set()
     for j, s in enumerate(strs):
         c = s[idx_rear[j] - 1]
-        if all(
-            i == j or idx_before(strs[i], c, idx_rear[i]) > idx_prev[i]
-            for i in range(len(strs))
-        ):
+        if c in tried:
+            continue
+        tried.add(c)
+        for i, (t, p, r) in enumerate(zip(strs, idx_prev, idx_rear)):
+            if i != j and idx_before(t, c, r) <= p:
+                break
+        else:
             return j, c
     return None
-
-
-class _OccurrenceIndex:
-    """Per-string occurrence positions for boundary queries in O(log n).
-
-    Mirrors idx_before / idx_after exactly; the construction loop is the
-    hot path of one_mcs, which cannot afford linear scans per query.
-    """
-
-    def __init__(self, strings: tuple[str, ...]):
-        self.strings = strings
-        self._where: list[dict[str, list[int]]] = []
-        for s in strings:
-            table: dict[str, list[int]] = {}
-            for i, c in enumerate(s):
-                table.setdefault(c, []).append(i)
-            self._where.append(table)
-
-    def before(self, j: int, c: str, i: int) -> int:
-        positions = self._where[j].get(c)
-        if not positions:
-            return 0
-        cnt = bisect_right(positions, i - 1)
-        return positions[cnt - 1] + 1 if cnt else 0
-
-    def after(self, j: int, c: str, i: int) -> int:
-        positions = self._where[j].get(c)
-        if not positions:
-            return len(self.strings[j])
-        cnt = bisect_left(positions, i)
-        return positions[cnt] if cnt < len(positions) else len(self.strings[j])
-
-    def common_segment(
-        self, idx_prev: list[int], idx_rear: list[int]
-    ) -> Optional[tuple[int, str]]:
-        """Same contract as :func:`common_segment`, with two shortcuts:
-        empty segments short-circuit, and repeated candidate characters
-        are tested once (a character failing for one segment fails for
-        every segment it ends, since it is present wherever it is a last
-        character)."""
-        if any(p >= r for p, r in zip(idx_prev, idx_rear)):
-            return None
-        n = len(self.strings)
-        tried: set[str] = set()
-        for j in range(n):
-            c = self.strings[j][idx_rear[j] - 1]
-            if c in tried:
-                continue
-            tried.add(c)
-            if all(
-                i == j or self.before(i, c, idx_rear[i]) > idx_prev[i]
-                for i in range(n)
-            ):
-                return j, c
-        return None
 
 
 def one_mcs(strings: Iterable[str], reverse_order: bool = False) -> str:
@@ -138,7 +102,6 @@ def one_mcs(strings: Iterable[str], reverse_order: bool = False) -> str:
     if any(not s for s in strs):
         return ""
     n_strings = len(strs)
-    index = _OccurrenceIndex(strs)
 
     # pos[j] aligns a virtual start marker, each character of w, and a
     # virtual end marker to boundaries of strs[j]. Left of the cursor the
@@ -150,7 +113,7 @@ def one_mcs(strings: Iterable[str], reverse_order: bool = False) -> str:
         idx_prev = [pos[j][k] for j in range(n_strings)]
         idx_rear = [pos[j][k + 1] - 1 for j in range(n_strings)]
         while True:
-            found = index.common_segment(idx_prev, idx_rear)
+            found = _common_segment(strs, idx_prev, idx_rear)
             if found is None:
                 if any(p >= r for p, r in zip(idx_prev, idx_rear)):
                     break
@@ -164,10 +127,10 @@ def one_mcs(strings: Iterable[str], reverse_order: bool = False) -> str:
             for j in range(n_strings):
                 # Rightmost placement of c below the next aligned position
                 # keeps the right-of-cursor alignment greedy rightmost.
-                pos[j].insert(k + 1, index.before(j, c, pos[j][k + 1] - 1))
+                pos[j].insert(k + 1, idx_before(strs[j], c, pos[j][k + 1] - 1))
             idx_rear = [pos[j][k + 1] - 1 for j in range(n_strings)]
         k += 1
         if k <= len(w):
             for j in range(n_strings):
-                pos[j][k] = index.after(j, w[k - 1], pos[j][k - 1]) + 1
+                pos[j][k] = idx_after(strs[j], w[k - 1], pos[j][k - 1]) + 1
     return "".join(w)

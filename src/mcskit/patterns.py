@@ -9,8 +9,8 @@ wildcard segments can then be pulled out as features.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Iterable
 
@@ -52,19 +52,51 @@ class ColumnPattern:
     def n_wildcards(self) -> int:
         return sum(1 for tok in self.tokens if tok is WILDCARD)
 
-    def to_regex(self) -> re.Pattern:
-        parts = ["(.*)" if tok is WILDCARD else re.escape(tok) for tok in self.tokens]
-        return re.compile("^" + "".join(parts) + "$", re.DOTALL)
+    @cached_property
+    def _segments(self) -> tuple[str, ...]:
+        """Literal text between wildcards: the anchored prefix, each inner
+        literal, then the anchored suffix (prefix and suffix may be empty)."""
+        segments = [""]
+        for tok in self.tokens:
+            if tok is WILDCARD:
+                segments.append("")
+            else:
+                segments[-1] += tok
+        return tuple(segments)
+
+    def _match(self, value: str) -> tuple[str, ...] | None:
+        """Wildcard captures of ``value``, or None when it does not match.
+
+        Inner literals are placed right to left, each as far right as it
+        fits before the next. That is the rightmost embedding, where
+        greedy ``(.*)`` groups would put them, found in linear time.
+        """
+        segments = self._segments
+        if len(segments) == 1:
+            return () if value == segments[0] else None
+        head, tail = segments[0], segments[-1]
+        lo, hi = len(head), len(value) - len(tail)
+        if hi < lo or not value.startswith(head) or not value.endswith(tail):
+            return None
+        gaps = []
+        for lit in reversed(segments[1:-1]):
+            at = value.rfind(lit, lo, hi)
+            if at < 0:
+                return None
+            gaps.append(value[at + len(lit) : hi])
+            hi = at
+        gaps.append(value[lo:hi])
+        return tuple(reversed(gaps))
 
     def matches(self, value: str) -> bool:
-        return self.to_regex().match(value) is not None
+        return self._match(value) is not None
 
     def captures(self, value: str) -> tuple[str, ...]:
         """The substrings each wildcard absorbed when matching ``value``."""
-        m = self.to_regex().match(value)
-        if m is None:
+        groups = self._match(value)
+        if groups is None:
             raise ValueError(f"{value!r} does not match pattern {render_pattern(self)!r}")
-        return m.groups()
+        return groups
 
     def render(self) -> str:
         return render_pattern(self)

@@ -1,6 +1,7 @@
 """Deterministic solver: index primitives, segment search, and the full
 construction against the maximality oracle."""
 
+import hashlib
 import random
 import statistics
 import time
@@ -87,6 +88,14 @@ class TestCommonSegment:
         with pytest.raises(ValueError):
             common_segment(["AB", "BA"], [0], [2, 2])
 
+    def test_out_of_range_boundaries_rejected(self):
+        with pytest.raises(ValueError):
+            common_segment(["ab", "ba"], [-1, -1], [0, 0])
+        with pytest.raises(ValueError):
+            common_segment(["ab", "ba"], [0, 0], [3, 2])
+        # In range but overlapping: an empty segment, not an error.
+        assert common_segment(["ab", "ba"], [2, 1], [1, 1]) is None
+
     def test_agrees_with_brute_force_on_random_states(self, rng):
         for _ in range(400):
             strs = random_instance(rng, rng.randint(1, 4), 10, rng.randint(2, 4))
@@ -100,34 +109,45 @@ class TestCommonSegment:
             )
 
 
-def reference_one_mcs(strs):
-    """Naive mirror of one_mcs built on the public contract functions,
-    without the occurrence-index fast path. Used to pin that the fast
-    path changes nothing observable."""
-    if any(not s for s in strs):
-        return ""
-    n = len(strs)
-    w, pos, k = [], [[0, len(s) + 1] for s in strs], 0
-    while k <= len(w):
-        idx_prev = [pos[j][k] for j in range(n)]
-        idx_rear = [pos[j][k + 1] - 1 for j in range(n)]
-        while True:
-            found = common_segment(strs, idx_prev, idx_rear)
-            if found is None:
-                if any(p >= r for p, r in zip(idx_prev, idx_rear)):
-                    break
-                idx_rear = [r - 1 for r in idx_rear]
-                continue
-            _, c = found
-            w.insert(k, c)
-            for j in range(n):
-                pos[j].insert(k + 1, idx_before(strs[j], c, pos[j][k + 1] - 1))
-            idx_rear = [pos[j][k + 1] - 1 for j in range(n)]
-        k += 1
-        if k <= len(w):
-            for j in range(n):
-                pos[j][k] = idx_after(strs[j], w[k - 1], pos[j][k - 1]) + 1
-    return "".join(w)
+def _digest(outputs):
+    joined = "\x00".join(outputs).encode("utf-8", "surrogatepass")
+    return hashlib.sha256(joined).hexdigest()[:16]
+
+
+def _short_family():
+    rng = random.Random(14)
+    return [random_instance(rng, rng.randint(1, 4), 14, rng.randint(2, 5)) for _ in range(150)]
+
+
+def _non_ascii_family():
+    # Accented, astral and combining characters plus a lone surrogate.
+    rng = random.Random(8)
+    chars = "a\u00e9\u20ac\U0001f600\u0301\ud800\u00df"
+    return [
+        [
+            "".join(rng.choice(chars) for _ in range(rng.randint(1, 20)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        for _ in range(60)
+    ]
+
+
+# Recorded one_mcs outputs, keyed by reverse_order. A refactor of the
+# construction must reproduce them byte for byte.
+PINNED_ONE_MCS = {
+    False: {
+        "short": "be7f1abb73dd6b78",
+        "non_ascii": "4fcf740e96a9267a",
+        "3x400": "ELEOPHCARITASTBTHDDBLFFTIOLNMAF",
+        "300x60": "CCDDDBCBC",
+    },
+    True: {
+        "short": "08f1fd6d1e84f7a1",
+        "non_ascii": "db2a3af8c2d26850",
+        "3x400": "HFNMRJOGHCBQADRGLCDJCLALEDRMGCTTOM",
+        "300x60": "DBCBBACC",
+    },
+}
 
 
 class TestOneMcs:
@@ -156,10 +176,18 @@ class TestOneMcs:
             assert all(is_subsequence(w, s) for s in strs)
             assert is_maximal(strs, w)
 
-    def test_fast_path_matches_reference_implementation(self, rng):
-        for _ in range(120):
-            strs = random_instance(rng, rng.randint(1, 4), 14, rng.randint(2, 5))
-            assert one_mcs(strs) == reference_one_mcs(strs)
+    @pytest.mark.parametrize("reverse_order", [False, True])
+    def test_seeded_outputs_pinned(self, reverse_order):
+        def run(strs):
+            return one_mcs(strs, reverse_order=reverse_order)
+
+        got = {
+            "short": _digest([run(strs) for strs in _short_family()]),
+            "non_ascii": _digest([run(strs) for strs in _non_ascii_family()]),
+            "3x400": run(random_strings(3, 400, 20, seed=3)),
+            "300x60": run(random_strings(300, 60, 4, seed=4)),
+        }
+        assert got == PINNED_ONE_MCS[reverse_order]
 
 
 class TestOneMcsScaling:

@@ -2,6 +2,8 @@
 rendering, and the transformer interface."""
 
 import random
+import re
+import time
 
 import pytest
 
@@ -165,6 +167,38 @@ class TestColumnPattern:
         assert p.captures("POP-A1") == ("A1",)
         with pytest.raises(ValueError):
             p.captures("DC-A1")
+
+    def test_captures_agree_with_greedy_regex(self, rng):
+        # Oracle: re.fullmatch of the greedy regex. Values may end in a
+        # newline, which a ``$`` anchor would wrongly accept.
+        chars = "ab\n*."
+        for _ in range(3000):
+            tokens = []
+            for _ in range(rng.randint(0, 6)):
+                if rng.random() < 0.45 and (not tokens or tokens[-1] is not WILDCARD):
+                    tokens.append(WILDCARD)
+                else:
+                    tokens.append("".join(rng.choice(chars) for _ in range(rng.randint(1, 3))))
+            p = ColumnPattern(tuple(tokens))
+            value = "".join(rng.choice(chars) for _ in range(rng.randint(0, 12)))
+            regex = "".join("(.*)" if t is WILDCARD else re.escape(t) for t in tokens)
+            m = re.fullmatch(regex, value, re.DOTALL)
+            assert p.matches(value) == (m is not None), (tokens, value)
+            if m is None:
+                with pytest.raises(ValueError):
+                    p.captures(value)
+            else:
+                assert p.captures(value) == m.groups(), (tokens, value)
+
+    def test_non_matching_value_is_fast(self):
+        # A backtracking matcher takes seconds on this template and value.
+        p = ColumnPattern(sum(((WILDCARD, "a") for _ in range(8)), ()) + ("b",))
+        value = "a" * 40
+        t0 = time.perf_counter()
+        assert not p.matches(value)
+        with pytest.raises(ValueError):
+            p.captures(value)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_literal_text(self):
         p = ColumnPattern(("2015-12-", WILDCARD))

@@ -11,6 +11,7 @@ for the randomized search and back the ``lcs`` CLI command.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import combinations
 from typing import Iterable
 
@@ -33,7 +34,8 @@ class SizeGuardError(ValueError):
 def lcs_dp(strings: Iterable[str]) -> str:
     """One longest common subsequence of up to four strings.
 
-    The table has prod(len(s)) cells, guarded at 10**7. Ties are broken
+    The table has prod(len(s)) cells, guarded at 10**7; one string or an
+    empty string needs no table and skips that guard. Ties are broken
     deterministically by preferring to drop the last character of the
     lowest-indexed string, so repeated calls agree; the length is unique
     even where the string is not.
@@ -43,45 +45,52 @@ def lcs_dp(strings: Iterable[str]) -> str:
         raise SizeGuardError(
             f"lcs_dp handles at most {MAX_LCS_STRINGS} strings, got {len(strs)}"
         )
+    if any(not s for s in strs):
+        return ""
+    if len(strs) == 1:
+        return strs[0]
     cells = math.prod(len(s) for s in strs)
     if cells > MAX_LCS_CELLS:
         raise SizeGuardError(
             f"lcs_dp table would need {cells} cells (> {MAX_LCS_CELLS}); "
             "use the randomized search instead"
         )
-    if any(not s for s in strs):
-        return ""
-    if len(strs) == 1:
-        return strs[0]
 
     dp = _fill_table(strs)
     return _backtrack(strs, dp)
 
 
 def _fill_table(strs: tuple[str, ...]) -> np.ndarray:
-    """Forward DP pass, vectorized along the last string's axis.
+    """Forward DP pass, one vectorized step per character of the first string.
 
     Recurrence: a cell is the max over dropping the last character of
     any one string, plus the diagonal extension when all last characters
-    agree. The drop along the last axis is folded into a running
-    maximum over that axis.
+    agree. Slice ``dp[i]`` holds the cells whose first-string prefix has
+    length i, and follows from ``dp[i - 1]`` alone. Each cell first takes
+    the larger of the same cell in ``dp[i - 1]`` and the diagonal
+    extension where every other string's last character is
+    ``strs[0][i - 1]``. Dropping characters of the other strings then
+    unrolls to a prefix maximum over the dominated box, which one running
+    maximum per axis computes in place.
     """
+    # int16 suffices: a cell is at most the shortest length, and with two
+    # or more strings the cell guard caps that at isqrt(MAX_LCS_CELLS) = 3162.
     shape = tuple(len(s) + 1 for s in strs)
-    dp = np.zeros(shape, dtype=np.int32)
-    last = code_points(strs[-1])
+    dp = np.zeros(shape, dtype=np.int16)
+    others = [code_points(s) for s in strs[1:]]
+    inner = (slice(1, None),) * len(others)
+    diag = (slice(None, -1),) * len(others)
 
-    for outer in np.ndindex(shape[:-1]):
-        if 0 in outer:
-            continue
-        chars = {strs[d][i - 1] for d, i in enumerate(outer)}
-        row = dp[tuple(o - 1 if d == 0 else o for d, o in enumerate(outer))].copy()
-        for d in range(1, len(outer)):
-            np.maximum(row, dp[tuple(o - 1 if dd == d else o for dd, o in enumerate(outer))], out=row)
-        if len(chars) == 1:
-            diag = dp[tuple(o - 1 for o in outer)]
-            ext = np.where(last == ord(next(iter(chars))), diag[:-1] + 1, 0)
-            np.maximum(row[1:], ext, out=row[1:])
-        dp[outer] = np.maximum.accumulate(row)
+    for i, c in enumerate(code_points(strs[0]), 1):
+        match = reduce(np.logical_and.outer, [cp == c for cp in others])
+        prev, cur = dp[i - 1], dp[i][inner]
+        # The table is non-decreasing along every axis, so off the matches
+        # the diagonal never beats the cell itself: adding the boolean
+        # mask yields the extension exactly where it applies.
+        np.add(prev[diag], match, out=cur)
+        np.maximum(cur, prev[inner], out=cur)
+        for axis in range(len(others)):
+            np.maximum.accumulate(cur, axis=axis, out=cur)
     return dp
 
 

@@ -1,10 +1,20 @@
 """Exact oracles against classical references and each other."""
 
+import hashlib
+import math
 import random
 
 import pytest
 
-from mcskit import SizeGuardError, enumerate_mcs, is_maximal, is_subsequence, lcs_dp
+from mcskit import (
+    SizeGuardError,
+    enumerate_mcs,
+    is_maximal,
+    is_subsequence,
+    lcs_dp,
+    random_strings,
+)
+from mcskit.exact import MAX_LCS_CELLS
 from tests.conftest import random_instance
 
 
@@ -17,6 +27,43 @@ def classic_lcs_len(a, b):
             cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
         prev = cur
     return prev[-1]
+
+
+def _digest(outputs):
+    joined = "\x00".join(outputs).encode("utf-8", "surrogatepass")
+    return hashlib.sha256(joined).hexdigest()[:16]
+
+
+def _tie_family(n_strings):
+    # Alphabets of 1 to 6 letters, so most cells have tied predecessors.
+    rng = random.Random(40 + n_strings)
+    max_len = {2: 40, 3: 16, 4: 9}[n_strings]
+    return [
+        random_instance(rng, n_strings, max_len, sigma, min_len=0)
+        for sigma in range(1, 7)
+        for _ in range(15)
+    ]
+
+
+def _non_ascii_family():
+    # Accented, astral and combining characters plus a lone surrogate.
+    rng = random.Random(17)
+    chars = "a\u00e9\U0001f600\U00010348\ud800\u0301"
+    return [
+        ["".join(rng.choice(chars) for _ in range(rng.randint(0, 12))) for _ in range(rng.randint(2, 4))]
+        for _ in range(60)
+    ]
+
+
+# lcs_dp outputs recorded before the table fill was vectorized over
+# whole slices; they pin the tie-breaking as well as the length.
+PINNED_LCS = {
+    "L2": "77f2b1203b81cb45",
+    "L3": "4b6a172402e68d5e",
+    "L4": "f82624fa13730c48",
+    "non_ascii": "502eccb85d0d5ff2",
+    "3x200": "GASLODCTJAPEHDAEOBHQPKJPCTOKEQIQEOKPBIFIRQTAI",
+}
 
 
 class TestLcsDp:
@@ -64,6 +111,29 @@ class TestLcsDp:
             lcs_dp(["a"] * 5)
         with pytest.raises(SizeGuardError):
             lcs_dp(["x" * 100, "x" * 100, "x" * 100, "x" * 100])
+
+    def test_trivial_inputs_skip_the_cell_guard(self):
+        # No table is built for a single string.
+        long = "x" * (MAX_LCS_CELLS + 1)
+        assert lcs_dp([long]) == long
+
+    def test_largest_value_under_the_guard(self):
+        # The cell guard caps two strings at 3162 characters each, so this
+        # is the largest value the table can ever hold.
+        side = math.isqrt(MAX_LCS_CELLS)
+        assert lcs_dp(["a" * side, "a" * side]) == "a" * side
+        with pytest.raises(SizeGuardError):
+            lcs_dp(["a" * side, "a" * (side + 1)])
+
+    def test_seeded_outputs_pinned(self):
+        got = {
+            "L2": _digest([lcs_dp(strs) for strs in _tie_family(2)]),
+            "L3": _digest([lcs_dp(strs) for strs in _tie_family(3)]),
+            "L4": _digest([lcs_dp(strs) for strs in _tie_family(4)]),
+            "non_ascii": _digest([lcs_dp(strs) for strs in _non_ascii_family()]),
+            "3x200": lcs_dp(random_strings(3, 200, 20, seed=5)),
+        }
+        assert got == PINNED_LCS
 
 
 class TestEnumerateMcs:

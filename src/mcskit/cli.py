@@ -278,6 +278,13 @@ def _read_csv_columns(path: str, delimiter: str) -> dict[str, list[str]]:
         columns: dict[str, list[str]] = {name: [] for name in header}
         try:
             for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path} row {reader.line_num}: expected {len(header)} fields"
+                        f" as in the header, got {len(row)}"
+                    )
                 for name, cell in zip(header, row):
                     columns[name].append(cell)
         except csv.Error as exc:

@@ -1,13 +1,20 @@
 """Deterministic single maximal-common-subsequence construction.
 
 Works left to right over the gaps of the growing subsequence. For the
-current gap it keeps, per string, the segment between the shortest
-prefix containing everything left of the gap and the shortest suffix
-containing everything right of it. While those segments share a
-character, one is inserted; when they no longer do, the gap can never
-admit an insertion again (later growth only shrinks earlier segments),
-so the scan advances. The result is therefore always maximal, and fully
-determined by the input order of the strings.
+current gap it keeps, per string, the segment between the greedy
+leftmost embedding of everything left of the gap and the greedy
+rightmost embedding of everything right of it. While those segments
+share a character, one is inserted at the gap's right end; when they no
+longer do, the gap can never admit an insertion again (later growth only
+shrinks earlier segments), so the scan advances. The result is therefore
+always maximal, and fully determined by the input order of the strings.
+
+The characters right of the cursor form a stack, nearest on top: an
+insertion pushes, an advance pops. The character to insert is found by
+lowering every rear one shift at a time until some segment ends in a
+character that every shrunk segment holds. A character that fails is
+dead for the rest of the gap, so each is tested once per gap and a
+further shift costs one index and one set lookup per string.
 
 Boundary convention matches the rest of the package: a string of length
 n has positions 1..n and boundaries 0..n; the segment (i, j] holds
@@ -61,31 +68,32 @@ def common_segment(
         for i in (p, r):
             if not 0 <= i <= len(s):
                 raise ValueError(f"boundary {i} out of range for string of length {len(s)}")
-    return _common_segment(strs, idx_prev, idx_rear)
+    found = _shared_end(strs, idx_prev, idx_rear, 1)
+    return None if found is None else found[1:]
 
 
-def _common_segment(
-    strs: tuple[str, ...], idx_prev: list[int], idx_rear: list[int]
-) -> Optional[tuple[int, str]]:
-    """:func:`common_segment` without input validation.
+def _shared_end(
+    strs: tuple[str, ...], idx_prev: list[int], idx_rear: list[int], max_shifts: int
+) -> Optional[tuple[int, int, str]]:
+    """Least shift t < ``max_shifts``, then least string j, at which the
+    last character c of segment j, with every rear lowered by t, occurs
+    in every other segment so lowered. Returns ``(t, j, c)``, or None
+    when a segment empties or the shifts run out first. Does not
+    validate its input.
 
-    Each candidate character is tested once: a character is always
-    inside a segment it ends, so one that fails for one string fails for
-    every string whose segment ends in it.
+    A character missing from some segment at shift t is missing from it
+    at every larger shift, as segments only shrink; such a character is
+    dead for the rest of the search and is never tested again.
     """
-    if any(p >= r for p, r in zip(idx_prev, idx_rear)):
-        return None
-    tried: set[str] = set()
-    for j, s in enumerate(strs):
-        c = s[idx_rear[j] - 1]
-        if c in tried:
-            continue
-        tried.add(c)
-        for i, (t, p, r) in enumerate(zip(strs, idx_prev, idx_rear)):
-            if i != j and idx_before(t, c, r) <= p:
-                break
-        else:
-            return j, c
+    dead: set[str] = set()
+    for t in range(min(max_shifts, *(r - p for p, r in zip(idx_prev, idx_rear)))):
+        for j, (s, r) in enumerate(zip(strs, idx_rear)):
+            c = s[r - 1 - t]
+            if c in dead:
+                continue
+            if all(u.rfind(c, p, q - t) >= 0 for u, p, q in zip(strs, idx_prev, idx_rear)):
+                return t, j, c
+            dead.add(c)
     return None
 
 
@@ -99,38 +107,27 @@ def one_mcs(strings: Iterable[str], reverse_order: bool = False) -> str:
     strs = check_strings(strings)
     if reverse_order:
         strs = strs[::-1]
-    if any(not s for s in strs):
-        return ""
-    n_strings = len(strs)
+    ends = [len(s) for s in strs]
 
-    # pos[j] aligns a virtual start marker, each character of w, and a
-    # virtual end marker to boundaries of strs[j]. Left of the cursor the
-    # alignment is the greedy leftmost one; right of it, greedy rightmost.
+    # w holds the finished characters left of the cursor and left[j] the
+    # end of w's greedy leftmost embedding in strs[j]. The stack right
+    # holds the characters right of the cursor, nearest on top, each with
+    # the boundary just before its greedy rightmost position per string;
+    # the top's boundaries (or the string ends) are the gap's rears.
+    # min(ends) never cuts the search short: no segment outgrows its string.
     w: list[str] = []
-    pos = [[0, len(s) + 1] for s in strs]
-    k = 0
-    while k <= len(w):
-        idx_prev = [pos[j][k] for j in range(n_strings)]
-        idx_rear = [pos[j][k + 1] - 1 for j in range(n_strings)]
-        while True:
-            found = _common_segment(strs, idx_prev, idx_rear)
-            if found is None:
-                if any(p >= r for p, r in zip(idx_prev, idx_rear)):
-                    break
-                # No segment's last character is shared; shorten all
-                # segments by one and retry. A shared character, if any
-                # exists, is found before the tightest segment empties.
-                idx_rear = [r - 1 for r in idx_rear]
-                continue
-            _, c = found
-            w.insert(k, c)
-            for j in range(n_strings):
-                # Rightmost placement of c below the next aligned position
-                # keeps the right-of-cursor alignment greedy rightmost.
-                pos[j].insert(k + 1, idx_before(strs[j], c, pos[j][k + 1] - 1))
-            idx_rear = [pos[j][k + 1] - 1 for j in range(n_strings)]
-        k += 1
-        if k <= len(w):
-            for j in range(n_strings):
-                pos[j][k] = idx_after(strs[j], w[k - 1], pos[j][k - 1]) + 1
-    return "".join(w)
+    left = [0] * len(strs)
+    right: list[tuple[str, list[int]]] = []
+    while True:
+        rear = right[-1][1] if right else ends
+        found = _shared_end(strs, left, rear, min(ends))
+        if found is not None:
+            c = found[2]
+            right.append((c, [idx_before(s, c, r) - 1 for s, r in zip(strs, rear)]))
+        elif right:
+            # The gap is closed for good: later insertions only shrink it.
+            c = right.pop()[0]
+            w.append(c)
+            left = [idx_after(s, c, p) + 1 for s, p in zip(strs, left)]
+        else:
+            return "".join(w)

@@ -133,6 +133,12 @@ def extract_pattern(
     check_count(runs, "runs")
     check_seed(seed)
     check_weighting(weighting)
+    check_count(max_distinct, "max_distinct")
+    check_count(sample_size, "sample_size")
+    if sample_size > max_distinct:
+        raise ValueError(
+            f"sample_size ({sample_size}) must not exceed max_distinct ({max_distinct})"
+        )
     distinct = sorted(set(vals))
     if len(distinct) > max_distinct:
         rng = Random(derive_run_seed(seed, "column-sample"))

@@ -231,6 +231,20 @@ class TestProfileCommand:
         code, _, _ = run(capsys, "profile", "--csv", str(p))
         assert code == 2
 
+    def test_ragged_row_is_usage_error(self, capsys, tmp_path):
+        p = tmp_path / "ragged.csv"
+        p.write_text("a,b\n1,x\n2\n3,z,extra\n4,w\n", encoding="utf-8")
+        code, out, err = run(capsys, "profile", "--csv", str(p), "--runs", "5")
+        assert code == 2 and out == ""
+        assert "row 3" in err
+        # Blank rows are skipped, not counted as ragged.
+        p.write_text("a,b\n1,x\n\n4,w\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "profile", "--csv", str(p), "--runs", "5", "--format", "json"
+        )
+        assert code == 0
+        assert [c["n_values"] for c in json.loads(out)["columns"]] == [2, 2]
+
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self, capsys):

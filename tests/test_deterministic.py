@@ -17,6 +17,7 @@ from mcskit import (
     one_mcs,
     random_strings,
 )
+from mcskit.deterministic import _shared_end
 from tests.conftest import random_instance
 
 
@@ -109,6 +110,49 @@ class TestCommonSegment:
             )
 
 
+def brute_shared_end(strs, idx_prev, idx_rear):
+    """Oracle: lower every rear by one until brute_common_segment finds a
+    candidate or a segment empties."""
+    t = 0
+    while all(p < r - t for p, r in zip(idx_prev, idx_rear)):
+        found = brute_common_segment(strs, idx_prev, [r - t for r in idx_rear])
+        if found is not None:
+            return (t, *found)
+        t += 1
+    return None
+
+
+class TestSharedEnd:
+    def test_agrees_with_shift_by_one_oracle_on_random_states(self, rng):
+        outcomes = {"t=0": 0, "t>0": 0, "none": 0}
+        for _ in range(600):
+            # Tails of a character the other strings may lack, and rears
+            # often at the string ends, make shifts past dead characters
+            # common.
+            strs = [
+                s + rng.choice("wxyz") * rng.randint(0, 4)
+                for s in random_instance(rng, rng.randint(1, 4), 12, rng.randint(2, 5))
+            ]
+            idx_prev = [rng.randint(0, len(s) // 3) for s in strs]
+            idx_rear = [
+                rng.choice([len(s), rng.randint(p, len(s))]) for s, p in zip(strs, idx_prev)
+            ]
+            want = brute_shared_end(strs, idx_prev, idx_rear)
+            assert _shared_end(strs, idx_prev, idx_rear, 17) == want
+            outcomes["none" if want is None else "t>0" if want[0] else "t=0"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_dead_character_is_skipped_where_it_recurs(self):
+        # "x" ends segment 0 and is missing from segment 1 at shift 0; at
+        # shift 1 it ends segment 0 again and is skipped as dead.
+        strs = ("cxaxx", "cyay")
+        assert brute_shared_end(strs, [0, 0], [5, 4]) == (1, 1, "a")
+        assert _shared_end(strs, [0, 0], [5, 4], 5) == (1, 1, "a")
+        # common_segment tries shift 0 only.
+        assert _shared_end(strs, [0, 0], [5, 4], 1) is None
+        assert common_segment(strs, [0, 0], [5, 4]) is None
+
+
 def _digest(outputs):
     joined = "\x00".join(outputs).encode("utf-8", "surrogatepass")
     return hashlib.sha256(joined).hexdigest()[:16]
@@ -175,6 +219,14 @@ class TestOneMcs:
             w = one_mcs(strs)
             assert all(is_subsequence(w, s) for s in strs)
             assert is_maximal(strs, w)
+
+    def test_long_unshared_runs_are_fast(self):
+        # One shared character, then 80,000 characters the other string
+        # lacks: each must be tested once, not once per shift (about 1 s).
+        strs = ["a" + "x" * 80_000, "a" + "y" * 80_000]
+        t0 = time.perf_counter()
+        assert one_mcs(strs) == "a"
+        assert time.perf_counter() - t0 < 0.5
 
     @pytest.mark.parametrize("reverse_order", [False, True])
     def test_seeded_outputs_pinned(self, reverse_order):

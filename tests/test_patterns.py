@@ -121,6 +121,25 @@ class TestExtractPattern:
         with pytest.raises(ValueError):
             extract_pattern([], runs=10, seed=0)
 
+    @pytest.mark.parametrize(
+        "max_distinct, sample_size, error",
+        [
+            (10, 0, ValueError),
+            (0, 1, ValueError),
+            (2, 10, ValueError),
+            (10, True, TypeError),
+            (2.5, 1, TypeError),
+        ],
+    )
+    def test_bad_sampling_bounds_rejected(self, max_distinct, sample_size, error):
+        values = ["a1", "a2", "a3", "a4"]
+        with pytest.raises(error, match="max_distinct|sample_size"):
+            extract_pattern(values, runs=5, max_distinct=max_distinct, sample_size=sample_size)
+        with pytest.raises(error, match="max_distinct|sample_size"):
+            PatternExtractor(
+                n_runs=5, max_distinct=max_distinct, sample_size=sample_size
+            ).fit(values)
+
 
 class TestRenderPattern:
     def test_examples(self):

@@ -7,6 +7,14 @@ all slots and strings at once with numpy occurrence tables; the contract
 primitives in :mod:`mcskit.subsequence` define what it must return, and
 the tests compare the two. Only characters common to every string can
 ever appear in a bag, so the tables cover just those characters.
+
+The strings lie end to end in one text of n characters; boundary i of
+``strings[l]`` is offset ``starts[l] + i``. Each table has one row per
+shared character over the boundaries of that text, about 12 bytes per
+shared character and text character in all. A lookup that finds no c
+left in a string lands in a later string or past the text, beyond the
+string's end; later lookups only move right, so one check at the end
+catches every miss.
 """
 
 from __future__ import annotations
@@ -32,53 +40,42 @@ class BreakpointScanner:
     """
 
     def __init__(self, strings: tuple[str, ...]):
-        self.strings = strings
         shared = sorted(set(strings[0]).intersection(*strings[1:]))
         self._alphabet = shared
         self._char_index = {c: i for i, c in enumerate(shared)}
+        # Offsets fit int32 until the tables need gigabytes.
         lengths = np.array([len(s) for s in strings], dtype=np.int32)
-        n_strings, n_chars = len(strings), len(shared)
+        self._ends = np.cumsum(lengths, dtype=np.int32)
+        self._starts = self._ends - lengths
+        n = int(self._ends[-1])
+        at = np.arange(n, dtype=np.int32)
+        # hit[c, i]: text[i] is shared[c].
+        hit = code_points("".join(shared))[:, None] == code_points("".join(strings))
 
-        # Boundary i of strings[l] sits at flat offset l * width + i, for
-        # i in 0..width-1. The boundary past the longest string's end keeps
-        # a failed lookup in range. Offsets fit int32: the tables would
-        # need gigabytes before they overflowed.
-        width = int(lengths.max(initial=0)) + 2
-        starts = np.arange(n_strings, dtype=np.int32) * width
-        self._starts = starts
-        self._ends = starts + lengths
-
-        # hit[c, l, i]: strings[l][i] is shared[c]; padding never hits.
-        padded = np.zeros((n_strings, width), dtype=np.uint32)
-        in_string = np.arange(width) < lengths[:, None]
-        padded[in_string] = code_points("".join(strings))
-        hit = (code_points("".join(shared))[:, None, None] == padded) & in_string
-        at = starts[:, None] + np.arange(width, dtype=np.int32)
-
-        # Each table maps (character, boundary offset) to a value, one
-        # flat row per character.
+        # Tables are filled in place: no full-size temporary beyond hit.
         # nxt: offset just past the first c at or after the boundary, or
-        # end + 1 when there is none; looking up from end + 1 misses again.
-        nxt = np.where(hit, at + 1, self._ends[:, None] + 1)
-        np.minimum.accumulate(nxt[:, :, ::-1], axis=2, out=nxt[:, :, ::-1])
-        self._nxt = nxt.reshape(n_chars, n_strings * width)
+        # n + 1 when there is none; looking up from n + 1 misses again.
+        self._nxt = nxt = np.full((len(shared), n + 2), n + 1, dtype=np.int32)
+        np.copyto(nxt[:, :n], at + 1, where=hit)
+        np.minimum.accumulate(nxt[:, ::-1], axis=1, out=nxt[:, ::-1])
         # lst: offset of the last c before the boundary (-1 when none).
-        lst = np.full(hit.shape, -1, dtype=np.int32)
-        lst[:, :, 1:] = np.where(hit[:, :, :-1], at[:, :-1], -1)
-        np.maximum.accumulate(lst, axis=2, out=lst)
-        self._lst = lst.reshape(n_chars, n_strings * width)
-        # cum: occurrences of c in the string before the boundary.
-        cum = np.zeros(hit.shape, dtype=np.int32)
-        np.cumsum(hit[:, :, :-1], axis=2, out=cum[:, :, 1:])
-        self._cum = cum.reshape(n_chars, n_strings * width)
+        self._lst = lst = np.full((len(shared), n + 1), -1, dtype=np.int32)
+        np.copyto(lst[:, 1:], at, where=hit)
+        np.maximum.accumulate(lst, axis=1, out=lst)
+        # cum: occurrences of c in the text before the boundary; the
+        # difference of two boundaries of one string counts that string's.
+        self._cum = cum = np.zeros((len(shared), n + 1), dtype=np.int32)
+        cum[:, 1:] = hit
+        np.cumsum(cum, axis=1, out=cum)
 
     def scan(self, w: str) -> list[tuple[int, dict[str, int]]]:
         """All (slot, bag) pairs for common subsequence ``w``, slot-sorted.
 
         ``bag`` maps each character shared by all middle substrings at
         that slot to its minimum occurrence count across them. Slots
-        with empty bags are omitted. Raises ValueError when ``w`` is not
-        a subsequence of every string.
+        with empty bags are omitted. Every bag's keys come in sorted
+        order. Raises ValueError when ``w`` is not a subsequence of every
+        string.
         """
         try:
             codes = [self._char_index[c] for c in w]

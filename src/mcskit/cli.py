@@ -100,9 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench",
         help="runtime scaling in the number of strings",
         description="Times single searches at each string count and checks "
-        "consecutive medians against linear growth. The check is meaningful "
-        "when every point is search-dominated (roughly 100+ strings); tiny "
-        "inputs are overhead-bound and will read as sublinear.",
+        "consecutive medians against linear growth. The timings include the "
+        "occurrence-table build, which is most of each run at 1,000 strings; "
+        "tiny inputs are overhead-bound and will read as sublinear.",
     )
     p.add_argument("--l-values", default="100,1000", help="comma-separated string counts (default 100,1000)")
     p.add_argument("--n", type=int, default=60, help="string length (default 60)")
@@ -267,7 +267,9 @@ def _cmd_profile(args) -> int:
 
 
 def _read_csv_columns(path: str, delimiter: str) -> dict[str, list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes,
+    # which would otherwise stay in the first header name.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
@@ -276,6 +278,9 @@ def _read_csv_columns(path: str, delimiter: str) -> dict[str, list[str]]:
         except csv.Error as exc:
             raise ValueError(f"{path} is not parseable CSV: {exc}") from exc
         columns: dict[str, list[str]] = {name: [] for name in header}
+        if len(columns) != len(header):
+            repeated = sorted({name for name in header if header.count(name) > 1})
+            raise ValueError(f"{path} header repeats column names {repeated}")
         try:
             for row in reader:
                 if not row:

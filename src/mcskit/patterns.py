@@ -104,9 +104,11 @@ class ColumnPattern:
 
 def render_pattern(pattern: ColumnPattern) -> str:
     """Template as a display string: wildcards become ``*``, literal
-    ``*`` characters are escaped as ``\\*``."""
+    ``\\`` and ``*`` characters are escaped as ``\\\\`` and ``\\*``, so
+    different templates render differently."""
     return "".join(
-        "*" if tok is WILDCARD else tok.replace("*", "\\*") for tok in pattern.tokens
+        "*" if tok is WILDCARD else tok.replace("\\", "\\\\").replace("*", "\\*")
+        for tok in pattern.tokens
     )
 
 

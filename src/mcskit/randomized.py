@@ -87,7 +87,7 @@ def _search(scanner: BreakpointScanner, rng: Random, weighting: str, start: str)
         if not slots:
             return w
         k, bag = slots[rng.randrange(len(slots))]
-        chars = sorted(bag)
+        chars = list(bag)
         if weighting == UNIFORM:
             c = chars[rng.randrange(len(chars))]
         else:

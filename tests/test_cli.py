@@ -245,6 +245,23 @@ class TestProfileCommand:
         assert code == 0
         assert [c["n_values"] for c in json.loads(out)["columns"]] == [2, 2]
 
+    def test_repeated_header_name_is_usage_error(self, capsys, tmp_path):
+        p = tmp_path / "repeated.csv"
+        p.write_text("a,b,a\n1,x,y\n2,y,z\n", encoding="utf-8")
+        code, out, err = run(capsys, "profile", "--csv", str(p), "--runs", "5")
+        assert code == 2 and out == ""
+        assert "['a']" in err
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, capsys, tmp_path):
+        p = tmp_path / "excel.csv"
+        p.write_text("\ufeffa,b\n1x,POP-A1\n2x,POP-B2\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "profile", "--csv", str(p), "--column", "a", "--runs", "5",
+            "--format", "json",
+        )
+        assert code == 0
+        assert [c["column"] for c in json.loads(out)["columns"]] == ["a"]
+
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self, capsys):

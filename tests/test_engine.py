@@ -4,6 +4,8 @@ primitives: same slots, same bags, same search outputs."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcskit import breakpoints, common_chars, middle, random_mcs, run_many
 from mcskit._engine import BreakpointScanner
@@ -119,3 +121,50 @@ def test_seeded_outputs_pinned(strs, uniform, frequency, constrained, counts):
     start, expected = constrained
     assert [random_mcs(strs, seed=s, start=start) for s in range(2)] == expected
     assert run_many(strs, 200, master_seed=5).counts == counts
+
+
+# The strings lie end to end in one flat text, so a lookup that misses in
+# one string runs on into the next; these pin that it is still a miss.
+POOL = st.sampled_from(["a", "b", "c", "\ud800", "\U0001f600"])
+STRING_SETS = st.lists(st.text(alphabet=POOL, max_size=12), min_size=1, max_size=6).map(tuple)
+
+
+def scan_or_raise(scan, *args):
+    try:
+        return scan(*args)
+    except ValueError:
+        return ValueError
+
+
+class TestFlatLayout:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        strs=STRING_SETS,
+        seed=st.integers(0, 10**6),
+        keep=st.lists(st.booleans(), max_size=30),
+        arbitrary=st.text(alphabet=POOL, max_size=5),
+    )
+    def test_agrees_with_contract_on_ragged_sets(self, strs, seed, keep, arbitrary):
+        mcs = random_mcs(strs, seed=seed)
+        sub = "".join(c for c, k in zip(mcs, keep) if k)
+        scanner = BreakpointScanner(strs)
+        for w in (mcs, sub, arbitrary):
+            assert scan_or_raise(scanner.scan, w) == scan_or_raise(contract_scan, strs, w), w
+
+    def test_miss_running_into_the_next_string_raises(self):
+        # "ba" has no "b" after its "a"; the next "b" in the text is in "ab".
+        strs = ("ba", "ab", "ab")
+        with pytest.raises(ValueError):
+            BreakpointScanner(strs).scan("ab")
+        with pytest.raises(ValueError):
+            contract_scan(strs, "ab")
+
+    def test_bag_keys_come_sorted(self):
+        rng = random.Random(55)
+        families = [strs for strs, *_ in GOLDEN]
+        families += [tuple(random_instance(rng, rng.randint(1, 6), 20, 6, min_len=0)) for _ in range(40)]
+        for strs in families:
+            scanner = BreakpointScanner(strs)
+            for w in common_subsequences_sample(rng, strs):
+                for _, bag in scanner.scan(w):
+                    assert list(bag) == sorted(bag), (strs, w)

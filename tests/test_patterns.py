@@ -173,6 +173,12 @@ class TestRenderPattern:
         for probe in ["a*bXc", "a*bc", "abc", "a*b", "xa*bc"]:
             assert oracle_match(tokens, probe) == p.matches(probe)
 
+    def test_backslash_is_escaped(self):
+        # Escaping only "*" rendered both of these as "a\*".
+        assert render_pattern(ColumnPattern(("a\\", WILDCARD))) == "a\\\\*"
+        assert render_pattern(ColumnPattern(("a*",))) == "a\\*"
+        assert render_pattern(extract_pattern(["C:\\x1", "C:\\y2"])) == "C:\\\\*"
+
 
 class TestColumnPattern:
     def test_invariants_enforced(self):

@@ -40,6 +40,8 @@ class BreakpointScanner:
     """
 
     def __init__(self, strings: tuple[str, ...]):
+        # Bags are minima over strings and a live slot needs every string: repeats change neither.
+        strings = tuple(dict.fromkeys(strings))
         shared = sorted(set(strings[0]).intersection(*strings[1:]))
         self._alphabet = shared
         self._char_index = {c: i for i, c in enumerate(shared)}
@@ -75,7 +77,8 @@ class BreakpointScanner:
         that slot to its minimum occurrence count across them. Slots
         with empty bags are omitted. Every bag's keys come in sorted
         order. Raises ValueError when ``w`` is not a subsequence of every
-        string.
+        string. Repeated strings were dropped at construction; they would
+        not change any slot or bag.
         """
         try:
             codes = [self._char_index[c] for c in w]

@@ -62,16 +62,17 @@ def scaling_table(
     alphabet_size: int = 4,
     runs: int = 25,
     seed: int = 0,
-    tolerance: float = SCALING_TOLERANCE,
 ) -> tuple[list[dict], bool]:
-    """Measure each string count and check near-linear growth.
+    """Measure each distinct string count and check near-linear growth.
 
-    Each consecutive pair of medians must stay within ``tolerance`` of
-    the ideal linear ratio. Returns (rows, all_within).
+    Each consecutive pair of medians must stay within a factor of
+    ``SCALING_TOLERANCE`` of the ideal linear ratio, so at least two
+    distinct counts are required. Returns (rows, all_within).
     """
-    points = [
-        time_random_mcs(l, length, alphabet_size, runs, seed) for l in sorted(l_values)
-    ]
+    sizes = sorted(set(l_values))
+    if len(sizes) < 2:
+        raise ValueError(f"need at least two distinct string counts to compare, got {l_values}")
+    points = [time_random_mcs(l, length, alphabet_size, runs, seed) for l in sizes]
     rows = []
     ok = True
     for i, pt in enumerate(points):
@@ -84,7 +85,7 @@ def scaling_table(
             prev = points[i - 1]
             ideal = pt.n_strings / prev.n_strings
             measured = pt.median_seconds / prev.median_seconds
-            within = ideal / tolerance <= measured <= ideal * tolerance
+            within = ideal / SCALING_TOLERANCE <= measured <= ideal * SCALING_TOLERANCE
             row.update(ratio=measured, ideal_ratio=ideal, within_tolerance=within)
             ok = ok and within
         rows.append(row)

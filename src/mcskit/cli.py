@@ -56,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=1, help="number of seeded runs (default 1)")
     p.add_argument("--constrain", default="", metavar="W0", help="require this common subsequence in every result")
     p.add_argument("--longest", action="store_true", help="print only the longest result over all runs")
-    p.add_argument("--dedup", action="store_true", help="drop duplicate input strings first")
     p.set_defaults(func=_cmd_mcs)
 
     p = sub.add_parser("lcs", help="exact longest common subsequence (small instances)")
@@ -147,12 +146,9 @@ def _weighting(args) -> str:
 def _cmd_mcs(args) -> int:
     strings = _load_strings(args)
     if args.longest:
-        summary = run_many(
-            strings, args.runs, args.seed, _weighting(args), start=args.constrain, dedup=args.dedup
-        )
-        print(summary.longest)
+        print(run_many(strings, args.runs, args.seed, _weighting(args), args.constrain).longest)
         return 0
-    for w in _seeded_runs(strings, args.runs, args.seed, _weighting(args), args.constrain, args.dedup):
+    for w in _seeded_runs(strings, args.runs, args.seed, _weighting(args), args.constrain):
         print(w)
     return 0
 

@@ -34,6 +34,8 @@ def idx_before(s: str, c: str, i: int) -> int:
     Equals the position of the last occurrence of ``c`` at or before
     position i, or 0 when there is none.
     """
+    if len(c) != 1:
+        raise ValueError(f"expected one character, got {c!r} of length {len(c)}")
     if not 0 <= i <= len(s):
         raise ValueError(f"boundary {i} out of range for string of length {len(s)}")
     return s.rfind(c, 0, i) + 1
@@ -45,6 +47,8 @@ def idx_after(s: str, c: str, i: int) -> int:
     Equals one less than the position of the first occurrence of ``c``
     after position i, or len(s) when there is none.
     """
+    if len(c) != 1:
+        raise ValueError(f"expected one character, got {c!r} of length {len(c)}")
     if not 0 <= i <= len(s):
         raise ValueError(f"boundary {i} out of range for string of length {len(s)}")
     found = s.find(c, i)

@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ._engine import BreakpointScanner
 from ._validation import (
@@ -95,10 +95,19 @@ def _search(scanner: BreakpointScanner, rng: Random, weighting: str, start: str)
         w = w[:k] + c + w[k:]
 
 
-def _check_start(strs: tuple[str, ...], start: str) -> None:
+def _searcher(
+    strings: Iterable[str], seed: int, weighting: str, start: str
+) -> Callable[[int], str]:
+    """Validate the inputs once, build one scanner, and return a function
+    that maps a stream seed to the result of one search run."""
+    strs = check_strings(strings)
+    check_seed(seed)
+    check_weighting(weighting)
     for i, s in enumerate(strs):
         if not is_subsequence(start, s):
             raise ValueError(f"start {start!r} is not a subsequence of string #{i} ({s!r})")
+    scanner = BreakpointScanner(strs)
+    return lambda stream_seed: _search(scanner, Random(stream_seed), weighting, start)
 
 
 def random_mcs(
@@ -115,38 +124,19 @@ def random_mcs(
     vacuously maximal). Deterministic given (strings, seed, weighting,
     start).
     """
-    strs = check_strings(strings)
-    check_seed(seed)
-    check_weighting(weighting)
-    _check_start(strs, start)
-    scanner = BreakpointScanner(strs)
-    return _search(scanner, Random(seed), weighting, start)
+    return _searcher(strings, seed, weighting, start)(seed)
 
 
 def _seeded_runs(
-    strings: Iterable[str],
-    runs: int,
-    master_seed: int,
-    weighting: str,
-    start: str,
-    dedup: bool,
+    strings: Iterable[str], runs: int, master_seed: int, weighting: str, start: str
 ) -> Iterator[str]:
-    """Validate eagerly, build one scanner, and return an iterator over
-    the results of runs ``0..runs-1``; run ``i`` equals
+    """Validate eagerly and return an iterator over the results of runs
+    ``0..runs-1``; run ``i`` equals
     ``random_mcs(strings, seed=derive_run_seed(master_seed, i), ...)``.
     """
-    strs = check_strings(strings)
     check_count(runs, "runs")
-    check_seed(master_seed)
-    check_weighting(weighting)
-    _check_start(strs, start)
-    if dedup:
-        strs = tuple(dict.fromkeys(strs))
-    scanner = BreakpointScanner(strs)
-    return (
-        _search(scanner, Random(derive_run_seed(master_seed, i)), weighting, start)
-        for i in range(runs)
-    )
+    search = _searcher(strings, master_seed, weighting, start)
+    return (search(derive_run_seed(master_seed, i)) for i in range(runs))
 
 
 def run_many(
@@ -155,17 +145,15 @@ def run_many(
     master_seed: int = DEFAULT_SEED,
     weighting: str = UNIFORM,
     start: str = "",
-    dedup: bool = False,
 ) -> RunSummary:
     """Aggregate ``runs`` independent seeded runs into a RunSummary.
 
     Each run draws from its own stream seeded by
     ``derive_run_seed(master_seed, index)``, so the summary does not
     depend on execution order and is reproducible given the master seed.
-    ``dedup`` drops duplicate strings first; duplicates never change the
-    result, only the runtime.
+    Repeated strings never change a result, and the scanner drops them.
     """
-    counts = Counter(_seeded_runs(strings, runs, master_seed, weighting, start, dedup))
+    counts = Counter(_seeded_runs(strings, runs, master_seed, weighting, start))
     return RunSummary(total_runs=runs, counts=dict(counts))
 
 
@@ -185,7 +173,7 @@ def required_runs(p: float, eps: float) -> int:
     """
     check_unit_open(p, "p")
     check_unit_open(eps, "eps")
-    return math.ceil(math.log(eps) / math.log(1.0 - p))
+    return math.ceil(math.log(eps) / math.log1p(-p))
 
 
 def probability_lower_bound(n_common: int, distinguisher_len: int) -> float:
@@ -207,7 +195,8 @@ class RandomMCS(ParamsMixin):
 
     Fitting a collection of strings runs the randomized search
     ``n_runs`` times and records the empirical solution distribution,
-    mirroring how clustering estimators summarize raw samples.
+    mirroring how clustering estimators summarize raw samples. Repeated
+    strings in ``X`` do not change the fit.
 
     Parameters use scikit-learn conventions (stored verbatim, validated
     in fit), so the class works with ``clone`` and pipelines.
@@ -222,13 +211,11 @@ class RandomMCS(ParamsMixin):
         weighting: str = UNIFORM,
         random_state: int = DEFAULT_SEED,
         start: str = "",
-        dedup: bool = False,
     ):
         self.n_runs = n_runs
         self.weighting = weighting
         self.random_state = random_state
         self.start = start
-        self.dedup = dedup
 
     def fit(self, X: Iterable[str], y=None) -> "RandomMCS":
         self.summary_ = run_many(
@@ -237,7 +224,6 @@ class RandomMCS(ParamsMixin):
             master_seed=self.random_state,
             weighting=self.weighting,
             start=self.start,
-            dedup=self.dedup,
         )
         self.counts_ = dict(self.summary_.counts)
         self.probabilities_ = self.summary_.probabilities

@@ -62,11 +62,15 @@ class TestMcsCommand:
         assert code == 2
         assert "error" in err
 
-    def test_dedup_flag(self, capsys, tmp_path):
+    def test_dedup_flag(self, capsys, tmp_path, toy_file):
+        # Repeated strings are dropped without a flag, and the flag is gone.
         p = tmp_path / "dup.txt"
         p.write_text("TEGAP\nTEGAP\nGAEPR\n", encoding="utf-8")
-        code, out, _ = run(capsys, "mcs", "--input", str(p), "--runs", "2", "--dedup")
-        assert code == 0 and set(out.split()) <= {"GAP", "EP"}
+        code, out, _ = run(capsys, "mcs", "--input", str(p), "--seed", "3", "--runs", "20")
+        assert code == 0 and out == run(capsys, "mcs", "--input", toy_file, "--seed", "3", "--runs", "20")[1]
+        with pytest.raises(SystemExit) as exc:
+            main(["mcs", "--input", str(p), "--dedup"])
+        assert exc.value.code == 2
 
     def test_longest_with_constraint(self, capsys, toy_file):
         code, out, _ = run(
@@ -87,7 +91,7 @@ class TestMcsCommand:
         p.write_text("\n".join(strings) + "\n", encoding="utf-8")
         variants = [
             ((), {}),
-            (("--weighted", "--constrain", "EB", "--dedup"), {"weighting": "frequency", "start": "EB"}),
+            (("--weighted", "--constrain", "EB"), {"weighting": "frequency", "start": "EB"}),
         ]
         for extra, kwargs in variants:
             code, out, _ = run(capsys, "mcs", "--input", str(p), "--seed", "9", "--runs", "12", *extra)
@@ -193,6 +197,12 @@ class TestBenchCommand:
         )
         assert "median_s" in out
         assert code in (0, 1)
+
+    def test_fewer_than_two_sizes_is_usage_error(self, capsys):
+        for l_values in ("5", "100,100"):
+            code, out, err = run(capsys, "bench", "--l-values", l_values, "--runs", "1")
+            assert code == 2 and out == ""
+            assert "at least two distinct" in err
 
 
 class TestProfileCommand:

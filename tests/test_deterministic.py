@@ -38,6 +38,12 @@ class TestIndexPrimitives:
         with pytest.raises(ValueError):
             idx_after("abc", "a", -1)
 
+    def test_lookup_must_be_one_character(self):
+        for lookup in (idx_before, idx_after):
+            for c in ("", "bc"):
+                with pytest.raises(ValueError, match="one character"):
+                    lookup("abc", c, 0)
+
     def test_duality(self, rng):
         for _ in range(300):
             s = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 12)))

@@ -151,6 +151,20 @@ class TestFlatLayout:
         for w in (mcs, sub, arbitrary):
             assert scan_or_raise(scanner.scan, w) == scan_or_raise(contract_scan, strs, w), w
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        strs=STRING_SETS,
+        repeats=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+        seed=st.integers(0, 10**6),
+    )
+    def test_repeated_strings_scan_like_the_full_set(self, strs, repeats, seed):
+        # The scanner drops repeats; the contract scan sees every copy.
+        full = strs + tuple(strs[i % len(strs)] for i in repeats)
+        mcs = random_mcs(strs, seed=seed)
+        scanner = BreakpointScanner(full)
+        for w in (mcs, mcs[::2], ""):
+            assert scan_or_raise(scanner.scan, w) == scan_or_raise(contract_scan, full, w), w
+
     def test_miss_running_into_the_next_string_raises(self):
         # "ba" has no "b" after its "a"; the next "b" in the text is in "ab".
         strs = ("ba", "ab", "ab")

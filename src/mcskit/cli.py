@@ -268,11 +268,11 @@ def _read_csv_columns(path: str, delimiter: str) -> dict[str, list[str]]:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path} is empty; a header row is required") from None
+            header = next(reader, [])
         except csv.Error as exc:
             raise ValueError(f"{path} is not parseable CSV: {exc}") from exc
+        if not header:
+            raise ValueError(f"{path} has no header row: it is empty or starts with a blank line")
         columns: dict[str, list[str]] = {name: [] for name in header}
         if len(columns) != len(header):
             repeated = sorted({name for name in header if header.count(name) > 1})

@@ -24,8 +24,8 @@ _BASE62 = _string.ascii_uppercase + _string.ascii_lowercase + _string.digits
 def alphabet(size: int) -> str:
     """Deterministic alphabet of ``size`` distinct characters.
 
-    Letters and digits first, then consecutive Latin-1 letters for
-    anything larger.
+    Letters and digits first, then consecutive code points from U+00C0
+    for anything larger (not all letters: size 86 adds U+00D7 ``×``).
     """
     check_count(size, "size")
     if size <= len(_BASE62):

@@ -4,7 +4,9 @@ A column's values are summarized by the longest common subsequence the
 randomized search can find, rendered as a template of literal runs and
 ``*`` wildcards (any run of zero or more characters, anchored at both
 ends). Every column value is guaranteed to match its own template; the
-wildcard segments can then be pulled out as features.
+wildcard segments can then be pulled out as features. Only the search is
+sampled, above ``MAX_DISTINCT`` distinct values; the alignment reads
+every distinct value, so its cost is linear in the column.
 """
 
 from __future__ import annotations
@@ -14,10 +16,18 @@ from functools import cached_property
 from random import Random
 from typing import Iterable
 
-from ._validation import UNIFORM, check_count, check_seed, check_strings, check_weighting
+from ._validation import UNIFORM, check_strings
 from .base import ParamsMixin
+from .deterministic import one_mcs
 from .randomized import DEFAULT_SEED, derive_run_seed, longest_of_runs
-from .subsequence import leftmost_positions
+from .subsequence import is_subsequence, leftmost_positions
+
+# Each search run scans every distinct value per step, so a column with
+# more than MAX_DISTINCT distinct values is searched on a seeded sample of
+# SAMPLE_SIZE of them; that bounds the search's latency. The template
+# itself still reads every distinct value.
+MAX_DISTINCT = 10_000
+SAMPLE_SIZE = 1_000
 
 
 class _Wildcard:
@@ -117,36 +127,33 @@ def extract_pattern(
     runs: int = 100,
     seed: int = DEFAULT_SEED,
     weighting: str = UNIFORM,
-    max_distinct: int = 10_000,
-    sample_size: int = 1_000,
 ) -> ColumnPattern:
     """Derive the wildcard template of a string column.
 
     The backbone is the longest result of ``runs`` randomized searches
-    over the distinct values. It is aligned into each value by greedy
-    leftmost embedding; a gap becomes a wildcard iff any value has at
-    least one character there, otherwise the neighboring backbone
-    characters fuse into one literal. With an empty backbone the
-    template is a single wildcard. Columns with more than
-    ``max_distinct`` distinct values are first sampled down to
-    ``sample_size`` (seeded), bounding extraction latency.
+    over the distinct values. Above ``MAX_DISTINCT`` distinct values the
+    search runs on a seeded sample of ``SAMPLE_SIZE`` of them, and the
+    backbone is then shrunk with ``one_mcs`` until every distinct value
+    holds it. It is aligned into each distinct value by greedy leftmost
+    embedding; a gap becomes a wildcard iff any value has at least one
+    character there, otherwise the neighboring backbone characters fuse
+    into one literal. With an empty backbone the template is a single
+    wildcard. Every value matches the template, and the alignment's cost
+    is linear in the column.
     """
-    vals = check_strings(values)
-    check_count(runs, "runs")
-    check_seed(seed)
-    check_weighting(weighting)
-    check_count(max_distinct, "max_distinct")
-    check_count(sample_size, "sample_size")
-    if sample_size > max_distinct:
-        raise ValueError(
-            f"sample_size ({sample_size}) must not exceed max_distinct ({max_distinct})"
-        )
-    distinct = sorted(set(vals))
-    if len(distinct) > max_distinct:
+    distinct = sorted(set(check_strings(values)))
+    sample = distinct
+    if len(distinct) > MAX_DISTINCT:
         rng = Random(derive_run_seed(seed, "column-sample"))
-        distinct = sorted(rng.sample(distinct, sample_size))
+        sample = sorted(rng.sample(distinct, SAMPLE_SIZE))
 
-    backbone = longest_of_runs(distinct, runs, seed, weighting)
+    backbone = longest_of_runs(sample, runs, seed, weighting)
+    if sample is not distinct:
+        # A value outside the sample may not hold the backbone. It only
+        # shrinks, so the values already passed still hold it.
+        for v in distinct:
+            if not is_subsequence(backbone, v):
+                backbone = one_mcs([backbone, v])
     if not backbone:
         return ColumnPattern((WILDCARD,))
 
@@ -180,37 +187,28 @@ class PatternExtractor(ParamsMixin):
     """Transformer that learns a column template and extracts wildcard
     segments as features.
 
-    ``fit`` learns the template from the column's values; ``transform``
-    returns, per value, the tuple of substrings matched by the
-    template's wildcards (an empty tuple for fully literal templates).
-    Values that do not match the learned template raise.
+    ``fit`` learns the template from the column's values with
+    ``extract_pattern``, so every fitted value matches it, however large
+    the column; only the search is sampled above ``MAX_DISTINCT``
+    distinct values. ``transform`` returns, per value, the tuple of
+    substrings matched by the template's wildcards (an empty tuple for
+    fully literal templates). Values that do not match the learned
+    template raise.
 
     Attributes set by fit: ``pattern_`` (ColumnPattern) and
     ``pattern_str_`` (rendered form).
     """
 
     def __init__(
-        self,
-        n_runs: int = 100,
-        weighting: str = UNIFORM,
-        random_state: int = DEFAULT_SEED,
-        max_distinct: int = 10_000,
-        sample_size: int = 1_000,
+        self, n_runs: int = 100, weighting: str = UNIFORM, random_state: int = DEFAULT_SEED
     ):
         self.n_runs = n_runs
         self.weighting = weighting
         self.random_state = random_state
-        self.max_distinct = max_distinct
-        self.sample_size = sample_size
 
     def fit(self, X: Iterable[str], y=None) -> "PatternExtractor":
         self.pattern_ = extract_pattern(
-            X,
-            runs=self.n_runs,
-            seed=self.random_state,
-            weighting=self.weighting,
-            max_distinct=self.max_distinct,
-            sample_size=self.sample_size,
+            X, runs=self.n_runs, seed=self.random_state, weighting=self.weighting
         )
         self.pattern_str_ = render_pattern(self.pattern_)
         return self

@@ -241,6 +241,15 @@ class TestProfileCommand:
         code, _, _ = run(capsys, "profile", "--csv", str(p))
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("text", ["\n", "\na,b\n1,2\n"])
+    def test_blank_header_row_is_usage_error(self, capsys, tmp_path, text, fmt):
+        p = tmp_path / "blank.csv"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "profile", "--csv", str(p), "--format", fmt)
+        assert code == 2 and out == ""
+        assert f"{p} has no header row" in err
+
     def test_ragged_row_is_usage_error(self, capsys, tmp_path):
         p = tmp_path / "ragged.csv"
         p.write_text("a,b\n1,x\n2\n3,z,extra\n4,w\n", encoding="utf-8")

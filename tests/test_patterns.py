@@ -14,6 +14,7 @@ from mcskit import (
     extract_pattern,
     render_pattern,
 )
+from mcskit import patterns
 from tests.conftest import random_instance
 
 DATES = ["2015-12-01", "2015-12-17", "2015-12-30"]
@@ -113,32 +114,51 @@ class TestExtractPattern:
         assert a.tokens == extract_pattern(values, runs=30, seed=5).tokens
 
     def test_sampling_bounds_large_columns(self):
-        values = [f"row-{i}" for i in range(300)]
-        p = extract_pattern(values, runs=30, seed=1, max_distinct=100, sample_size=50)
+        values = [f"row-{i}" for i in range(patterns.MAX_DISTINCT + 300)]
+        p = extract_pattern(values)
         assert render_pattern(p).startswith("row-")
+        assert all(p.matches(v) for v in values)
+
+    def test_value_missed_by_the_sample_still_matches(self):
+        # More than MAX_DISTINCT distinct values: the search sees only a
+        # seeded sample, and it misses the one outlier.
+        values = [f"ORD-{i:05d}-EU" for i in range(10_500)] + ["REF-7"]
+        est = PatternExtractor(n_runs=20)
+        est.fit_transform(values)
+        assert all(est.pattern_.matches(v) for v in values)
+
+    def test_gaps_are_read_from_every_value(self):
+        # The outlier holds the sampled backbone but has a character before
+        # it, which no sampled value has, so the template must open with a
+        # wildcard.
+        values = [f"K{i:05d}" for i in range(patterns.MAX_DISTINCT + 500)]
+        values.append("#" + values[0])
+        p = extract_pattern(values, runs=20)
+        assert render_pattern(p).startswith("*")
+        assert all(p.matches(v) for v in values)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             extract_pattern([], runs=10, seed=0)
 
     @pytest.mark.parametrize(
-        "max_distinct, sample_size, error",
+        "kwargs, error",
         [
-            (10, 0, ValueError),
-            (0, 1, ValueError),
-            (2, 10, ValueError),
-            (10, True, TypeError),
-            (2.5, 1, TypeError),
+            ({"runs": 0}, ValueError),
+            ({"seed": -1}, ValueError),
+            ({"weighting": "sometimes"}, ValueError),
+            ({"runs": True}, TypeError),
         ],
     )
-    def test_bad_sampling_bounds_rejected(self, max_distinct, sample_size, error):
-        values = ["a1", "a2", "a3", "a4"]
-        with pytest.raises(error, match="max_distinct|sample_size"):
-            extract_pattern(values, runs=5, max_distinct=max_distinct, sample_size=sample_size)
-        with pytest.raises(error, match="max_distinct|sample_size"):
-            PatternExtractor(
-                n_runs=5, max_distinct=max_distinct, sample_size=sample_size
-            ).fit(values)
+    def test_bad_search_arguments_rejected(self, kwargs, error):
+        (name,) = kwargs
+        with pytest.raises(error, match=name):
+            extract_pattern(["a1", "a2", "a3"], **kwargs)
+
+    def test_sampling_bounds_are_not_parameters(self):
+        assert set(PatternExtractor().get_params()) == {"n_runs", "random_state", "weighting"}
+        with pytest.raises(TypeError):
+            extract_pattern(["a1", "a2"], max_distinct=10)
 
 
 class TestRenderPattern:

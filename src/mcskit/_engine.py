@@ -2,24 +2,38 @@
 
 The randomized search recomputes, for every slot k of the current
 subsequence, the per-string middle substrings and the multiset of
-characters they share. :class:`BreakpointScanner` batches that scan over
-all slots and strings at once with numpy occurrence tables; the contract
-primitives in :mod:`mcskit.subsequence` define what it must return, and
-the tests compare the two. Only characters common to every string can
-ever appear in a bag, so the tables cover just those characters.
+characters they share. :class:`BreakpointScanner` does that for a batch
+of R searches at once: :meth:`BreakpointScanner.slots` takes the current
+subsequences of R runs, all of one length, and scans every slot of every
+run over every string with numpy occurrence tables, one flat ``take`` a
+step over all R x L cursors. :meth:`BreakpointScanner.scan` is the same
+kernel at R = 1, formatted as the contract primitives in
+:mod:`mcskit.subsequence` define it; the tests compare the two. Only
+characters common to every string can ever appear in a bag, so the
+tables cover just those characters. :data:`ROUND_BYTES` sizes both the
+batch and the count gather.
 
 The strings lie end to end in one text of n characters; boundary i of
 ``strings[l]`` is offset ``starts[l] + i``. Each table has one row per
 shared character over the boundaries of that text, about 12 bytes per
 shared character and text character in all. A lookup that finds no c
 left in a string lands in a later string or past the text, beyond the
-string's end; later lookups only move right, so one check at the end
-catches every miss.
+string's end; later lookups only move right, so :meth:`scan` checks its
+``w`` before the kernel runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .subsequence import is_subsequence
+
+# Byte budget of one lockstep round. It fixes how many runs advance
+# together (their cursor arrays and count columns fit in it at the
+# longest possible subsequence) and how many slots one count gather
+# covers, so a round on a large string set allocates about what one
+# single-run scan did.
+ROUND_BYTES = 1 << 20
 
 
 def code_points(text: str) -> np.ndarray:
@@ -35,40 +49,128 @@ class BreakpointScanner:
     """Reusable scanner for one fixed string set.
 
     Building the occurrence tables is linear in total input size, so a
-    scanner is constructed once per search and queried once per
-    iteration with the growing subsequence.
+    scanner is constructed once per set of searches and queried once per
+    round with the growing subsequences. ``batch`` is the number of runs
+    that advance together under :data:`ROUND_BYTES`.
     """
 
     def __init__(self, strings: tuple[str, ...]):
         # Bags are minima over strings and a live slot needs every string: repeats change neither.
-        strings = tuple(dict.fromkeys(strings))
+        self._strings = strings = tuple(dict.fromkeys(strings))
         shared = sorted(set(strings[0]).intersection(*strings[1:]))
-        self._alphabet = shared
+        self.alphabet = shared
         self._char_index = {c: i for i, c in enumerate(shared)}
-        # Offsets fit int32 until the tables need gigabytes.
+        # Offsets fit int32 until the tables need gigabytes. bounds[0] and
+        # bounds[1] hold where each string starts and ends in the text.
         lengths = np.array([len(s) for s in strings], dtype=np.int32)
-        self._ends = np.cumsum(lengths, dtype=np.int32)
-        self._starts = self._ends - lengths
-        n = int(self._ends[-1])
+        self._bounds = bounds = np.empty((2, 1, len(strings)), dtype=np.int32)
+        np.cumsum(lengths, out=bounds[1, 0])
+        np.subtract(bounds[1, 0], lengths, out=bounds[0, 0])
+        n = int(bounds[1, 0, -1])
         at = np.arange(n, dtype=np.int32)
         # hit[c, i]: text[i] is shared[c].
         hit = code_points("".join(shared))[:, None] == code_points("".join(strings))
 
+        # Both cursor tables share one allocation, so one flat take a step
+        # advances the forward and the backward cursors of every run.
         # Tables are filled in place: no full-size temporary beyond hit.
+        self._tables = np.empty((2, len(shared), n + 2), dtype=np.int32)
         # nxt: offset just past the first c at or after the boundary, or
         # n + 1 when there is none; looking up from n + 1 misses again.
-        self._nxt = nxt = np.full((len(shared), n + 2), n + 1, dtype=np.int32)
+        nxt = self._tables[0]
+        nxt.fill(n + 1)
         np.copyto(nxt[:, :n], at + 1, where=hit)
         np.minimum.accumulate(nxt[:, ::-1], axis=1, out=nxt[:, ::-1])
-        # lst: offset of the last c before the boundary (-1 when none).
-        self._lst = lst = np.full((len(shared), n + 1), -1, dtype=np.int32)
+        # lst: offset of the last c before the boundary (-1 when none); its
+        # column n + 1 is never read.
+        lst = self._tables[1, :, : n + 1]
+        lst.fill(-1)
         np.copyto(lst[:, 1:], at, where=hit)
         np.maximum.accumulate(lst, axis=1, out=lst)
-        # cum: occurrences of c in the text before the boundary; the
+        # cum[i, c]: occurrences of c in the text before boundary i; the
         # difference of two boundaries of one string counts that string's.
-        self._cum = cum = np.zeros((len(shared), n + 1), dtype=np.int32)
-        cum[:, 1:] = hit
-        np.cumsum(cum, axis=1, out=cum)
+        # Boundary-major, so one gathered boundary reads one short row. It
+        # is summed 16,384 boundaries at a time: a running sum down its
+        # narrow columns is fast only while the block stays in cache.
+        self._cum = cum = np.empty((n + 1, len(shared)), dtype=np.int32)
+        cum[0] = 0
+        for i in range(0, n, 1 << 14):
+            block = cum[i : i + 1 + (1 << 14)]
+            block[1:] = hit[:, i : i + (1 << 14)].T
+            np.cumsum(block, axis=0, out=block)
+        # The flat offset of each table row, once per string.
+        rows = np.arange(0, self._tables.size, n + 2, dtype=np.int32)
+        self._row_offsets = rows.repeat(len(strings)).reshape(-1, len(strings))
+
+        # Per run, a round holds about 25 bytes per slot and string (cursors,
+        # lookup offsets, the slot's two ends, a comparison) and 4 per slot
+        # and shared character, for m + 1 slots with m at most the shortest
+        # string; the run's random generator keeps 2.5 KB of state. One
+        # gathered slot takes 12 bytes per string and shared character.
+        per_run = (int(lengths.min()) + 1) * (25 * len(strings) + 4 * len(shared)) + 2_500
+        self.batch = max(1, ROUND_BYTES // per_run)
+        self._piece = max(1, ROUND_BYTES // (12 * len(strings) * max(len(shared), 1)))
+
+    def encode(self, w: str) -> list[int]:
+        """The lookup row of common subsequence ``w``: the table rows its
+        greedy embeddings read, forward (``w``'s alphabet indices) and then
+        backward (the same reversed, each plus sigma)."""
+        codes = [self._char_index[c] for c in w]
+        return codes + [c + len(self.alphabet) for c in reversed(codes)]
+
+    def insert(self, row: list[int], k: int, c: int) -> None:
+        """Insert alphabet index ``c`` at slot ``k`` of lookup row ``row``."""
+        row.insert(k, c)
+        row.insert(len(row) - k, c + len(self.alphabet))
+
+    def decode(self, row: list[int]) -> str:
+        """The subsequence a lookup row stands for."""
+        return "".join([self.alphabet[c] for c in row[: len(row) // 2]])
+
+    def slots(self, rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+        """Live slots of R common subsequences of one length m.
+
+        ``rows`` holds their lookup rows (:meth:`encode`). Returns
+        ``(cell, counts)`` over the P live slots, ordered by row and then
+        by slot: ``cell`` is ``row * (m + 1) + slot``, and row p of the
+        P x sigma matrix ``counts`` is slot p's bag, the minimum count of
+        each shared character over its middle substrings.
+        """
+        r, n_str = len(rows), self._bounds.shape[2]
+        m = len(rows[0]) // 2
+        # cur[t, 0]: per run and string, the offset ending the shortest
+        # prefix that contains the run's first t characters (greedy
+        # leftmost embedding). cur[t, 1]: the offset starting the shortest
+        # suffix that contains its last t characters (greedy rightmost
+        # embedding). Step t looks both up in one flat take over all
+        # R x L cursors; every index is in the table.
+        cur = np.empty((m + 1, 2, r, n_str), dtype=np.int32)
+        cur[0] = self._bounds
+        step = self._row_offsets.take(np.array(rows, dtype=np.int32).reshape(r, 2, m).T, axis=0)
+        table = self._tables.reshape(-1)
+        for at, here, there in zip(step, cur, cur[1:]):
+            np.add(at, here, out=at)
+            table.take(at, out=there, mode="clip")
+
+        # ends[:, j * (m + 1) + k]: the prefix and suffix cursors of run j
+        # around slot k, between which its middles lie. A slot where some
+        # middle is empty shares no character: only slots with every middle
+        # nonempty are counted.
+        ends = np.empty((2, r, m + 1, n_str), dtype=np.int32)
+        ends[0] = cur[:, 0].transpose(1, 0, 2)
+        ends[1] = cur[::-1, 1].transpose(1, 0, 2)
+        ends = ends.reshape(2, -1, n_str)
+        cand = np.logical_and.reduce(ends[1] > ends[0], axis=1).nonzero()[0]
+        # counts[p, c]: the minimum over strings of c's occurrences in the
+        # middles of candidate p, gathered string-major so the minimum runs
+        # over whole rows.
+        counts = np.empty((len(cand), len(self.alphabet)), dtype=np.int32)
+        for a in range(0, len(cand), self._piece):
+            at = ends.take(cand[a : a + self._piece], axis=1).transpose(0, 2, 1)
+            gathered = self._cum.take(at, axis=0)
+            np.minimum.reduce(gathered[1] - gathered[0], axis=0, out=counts[a : a + self._piece])
+        live = np.logical_or.reduce(counts, axis=1).nonzero()[0]
+        return cand.take(live), counts.take(live, axis=0)
 
     def scan(self, w: str) -> list[tuple[int, dict[str, int]]]:
         """All (slot, bag) pairs for common subsequence ``w``, slot-sorted.
@@ -78,39 +180,13 @@ class BreakpointScanner:
         with empty bags are omitted. Every bag's keys come in sorted
         order. Raises ValueError when ``w`` is not a subsequence of every
         string. Repeated strings were dropped at construction; they would
-        not change any slot or bag.
+        not change any slot or bag. This is :meth:`slots` at R = 1; the
+        search calls the kernel directly.
         """
-        try:
-            codes = [self._char_index[c] for c in w]
-        except KeyError as exc:
-            raise ValueError(f"{w!r} is not a subsequence of every string") from exc
-        m = len(w)
-
-        # pre[k]: per string, the offset ending the shortest prefix that
-        # contains w[:k] (greedy leftmost embedding); past the end once a
-        # character of w is missing.
-        pre = np.empty((m + 1, len(self._starts)), dtype=np.int32)
-        pre[0] = self._starts
-        for t, c in enumerate(codes):
-            self._nxt[c].take(pre[t], out=pre[t + 1])
-        if (pre[m] > self._ends).any():
+        if not all(is_subsequence(w, s) for s in self._strings):
             raise ValueError(f"{w!r} is not a subsequence of every string")
-
-        # suf[k]: the offset starting the shortest suffix that contains
-        # w[k:] (greedy rightmost embedding); it exists because the
-        # leftmost one does.
-        suf = np.empty_like(pre)
-        suf[m] = self._ends
-        for t in range(m - 1, -1, -1):
-            self._lst[codes[t]].take(suf[t + 1], out=suf[t])
-
-        # Middle substrings span pre..max(pre, suf); count per character
-        # and keep the minimum over strings.
-        np.maximum(suf, pre, out=suf)
-        bags = (self._cum.take(suf, axis=1) - self._cum.take(pre, axis=1)).min(axis=2).T.tolist()
-        out = []
-        for k, row in enumerate(bags):
-            bag = {c: n for c, n in zip(self._alphabet, row) if n}
-            if bag:
-                out.append((k, bag))
-        return out
+        slot, counts = self.slots([self.encode(w)])
+        return [
+            (k, {self.alphabet[c]: n for c, n in enumerate(col) if n})
+            for k, col in zip(slot.tolist(), counts.tolist())
+        ]

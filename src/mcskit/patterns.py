@@ -219,4 +219,6 @@ class PatternExtractor(ParamsMixin):
         return [self.pattern_.captures(v) for v in check_strings(X)]
 
     def fit_transform(self, X: Iterable[str], y=None) -> list[tuple[str, ...]]:
-        return self.fit(X, y).transform(X)
+        # Read X once: fit would use up a one-shot iterable before transform.
+        values = check_strings(X)
+        return self.fit(values, y).transform(values)

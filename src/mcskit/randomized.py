@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from random import Random
 from typing import Callable, Iterable, Iterator
 
@@ -79,27 +81,60 @@ class RunSummary:
         }
 
 
-def _search(scanner: BreakpointScanner, rng: Random, weighting: str, start: str) -> str:
-    """One growth loop. Two draws per iteration: slot, then character."""
-    w = start
-    while True:
-        slots = scanner.scan(w)
-        if not slots:
-            return w
-        k, bag = slots[rng.randrange(len(slots))]
-        chars = list(bag)
-        if weighting == UNIFORM:
-            c = chars[rng.randrange(len(chars))]
-        else:
-            c = rng.choices(chars, weights=[bag[ch] for ch in chars])[0]
-        w = w[:k] + c + w[k:]
+def _search(
+    scanner: BreakpointScanner, seeds: list[int], weighting: str, start: str
+) -> list[str]:
+    """Runs seeded by ``seeds``, advanced in lockstep; results in seed order.
+
+    Every run grows from ``start`` by one character a round, so the live
+    runs always share one length and one kernel call scans them all
+    (:meth:`BreakpointScanner.slots`); a run leaves once it has no live
+    slot. Each run draws from its own ``Random``, slot first and then
+    character, as a lone run would: its slot from its live slots in slot
+    order, its character from that slot's bag in alphabet order, with
+    Python-int weights under ``frequency``.
+    """
+    rngs = [Random(s) for s in seeds]
+    rows = [scanner.encode(start) for _ in seeds]
+    out = [""] * len(seeds)
+    active = list(range(len(seeds)))
+    m = len(start)
+    while active:
+        cell, counts = scanner.slots([rows[i] for i in active])
+        # Run j's live slots are cells j * (m + 1) .. j * (m + 1) + m.
+        cells = cell.tolist()
+        picks, moving = [], []
+        lo = 0
+        for j, i in enumerate(active):
+            hi = bisect_left(cells, (j + 1) * (m + 1), lo)
+            if hi > lo:
+                picks.append(lo + rngs[i].randrange(hi - lo))
+                moving.append(i)
+            else:
+                out[i] = scanner.decode(rows[i])
+            lo = hi
+        for i, p, bag in zip(moving, picks, counts.take(picks, axis=0).tolist()):
+            chars = [c for c, n in enumerate(bag) if n]
+            if weighting == UNIFORM:
+                c = chars[rngs[i].randrange(len(chars))]
+            else:
+                c = rngs[i].choices(chars, weights=[n for n in bag if n])[0]
+            scanner.insert(rows[i], cells[p] % (m + 1), c)
+        active = moving
+        m += 1
+    return out
 
 
 def _searcher(
     strings: Iterable[str], seed: int, weighting: str, start: str
-) -> Callable[[int], str]:
+) -> Callable[[Iterable[int]], Iterator[str]]:
     """Validate the inputs once, build one scanner, and return a function
-    that maps a stream seed to the result of one search run."""
+    that maps stream seeds to search results, in seed order.
+
+    The seeds are drawn ``scanner.batch`` at a time and each batch runs in
+    lockstep (:func:`_search`), so a lazy seed iterable stays lazy and the
+    memory held is one batch's.
+    """
     strs = check_strings(strings)
     check_seed(seed)
     check_weighting(weighting)
@@ -107,7 +142,13 @@ def _searcher(
         if not is_subsequence(start, s):
             raise ValueError(f"start {start!r} is not a subsequence of string #{i} ({s!r})")
     scanner = BreakpointScanner(strs)
-    return lambda stream_seed: _search(scanner, Random(stream_seed), weighting, start)
+
+    def search(seeds: Iterable[int]) -> Iterator[str]:
+        seeds = iter(seeds)
+        while batch := list(islice(seeds, scanner.batch)):
+            yield from _search(scanner, batch, weighting, start)
+
+    return search
 
 
 def random_mcs(
@@ -124,7 +165,7 @@ def random_mcs(
     vacuously maximal). Deterministic given (strings, seed, weighting,
     start).
     """
-    return _searcher(strings, seed, weighting, start)(seed)
+    return next(_searcher(strings, seed, weighting, start)([seed]))
 
 
 def _seeded_runs(
@@ -136,7 +177,7 @@ def _seeded_runs(
     """
     check_count(runs, "runs")
     search = _searcher(strings, master_seed, weighting, start)
-    return (search(derive_run_seed(master_seed, i)) for i in range(runs))
+    return search(derive_run_seed(master_seed, i) for i in range(runs))
 
 
 def run_many(
@@ -151,6 +192,8 @@ def run_many(
     Each run draws from its own stream seeded by
     ``derive_run_seed(master_seed, index)``, so the summary does not
     depend on execution order and is reproducible given the master seed.
+    The runs advance in lockstep batches, one scan per round for the
+    whole batch, and each equals the lone ``random_mcs`` run at its seed.
     Repeated strings never change a result, and the scanner drops them.
     """
     counts = Counter(_seeded_runs(strings, runs, master_seed, weighting, start))

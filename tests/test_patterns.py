@@ -258,6 +258,11 @@ class TestPatternExtractor:
         assert est.pattern_str_ == "2015-12-*"
         assert caps == [("01",), ("17",), ("30",)]
 
+    def test_fit_transform_reads_a_generator_once(self):
+        est = PatternExtractor(n_runs=5, random_state=0)
+        assert est.fit_transform(v for v in POPS) == [("A1",), ("B2",)]
+        assert est.pattern_str_ == "POP-*"
+
     def test_transform_requires_fit(self):
         with pytest.raises(ValueError):
             PatternExtractor().transform(DATES)

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcskit import (
     RandomMCS,
@@ -19,6 +21,8 @@ from mcskit import (
     required_runs,
     run_many,
 )
+from mcskit import _engine, randomized
+from mcskit.randomized import _seeded_runs
 from tests.conftest import random_instance
 
 TOY = ["TEGAP", "GAEPR"]
@@ -243,3 +247,55 @@ class TestEstimatorInterface:
         cloned = sklearn.clone(est)
         assert cloned.get_params() == est.get_params()
         assert cloned.fit(TOY).counts_ == est.fit(TOY).counts_
+
+
+# Strings from a pool with an astral character and a lone surrogate, plus
+# repeats of some of them; the scanner drops the repeats.
+POOL = st.sampled_from(["a", "b", "c", "\ud800", "\U0001f600"])
+REPEATED_SETS = st.tuples(
+    st.lists(st.text(alphabet=POOL, max_size=10), min_size=1, max_size=5),
+    st.lists(st.integers(0, 4), max_size=3),
+).map(lambda t: tuple(t[0]) + tuple(t[0][i % len(t[0])] for i in t[1]))
+
+
+class TestLockstepRuns:
+    """Runs advanced together equal runs made one at a time, across every
+    batch and gather-piece boundary."""
+
+    @pytest.mark.parametrize("budget", [1, 1 << 40], ids=["one-run-batches", "one-batch"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        strs=REPEATED_SETS,
+        runs=st.integers(1, 12),
+        master=st.integers(0, 10**6),
+        weighting=st.sampled_from(["uniform", "frequency"]),
+        keep=st.none() | st.lists(st.booleans(), max_size=10),
+    )
+    def test_batches_equal_single_runs(self, budget, strs, runs, master, weighting, keep):
+        start = "" if keep is None else "".join(
+            c for c, k in zip(random_mcs(strs, seed=master), keep) if k
+        )
+        single = [
+            random_mcs(strs, seed=derive_run_seed(master, i), weighting=weighting, start=start)
+            for i in range(runs)
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            # A 1-byte budget makes every batch one run and every gather one slot.
+            mp.setattr(_engine, "ROUND_BYTES", budget)
+            assert list(_seeded_runs(strs, runs, master, weighting, start)) == single
+
+    def test_seeds_are_derived_one_batch_at_a_time(self, monkeypatch):
+        derived = []
+
+        def counting(master, index):
+            derived.append(index)
+            return derive_run_seed(master, index)
+
+        monkeypatch.setattr(randomized, "derive_run_seed", counting)
+        runs = _seeded_runs(TOY, 10**6, 0, "uniform", "")
+        assert derived == []
+        first = next(runs)
+        # A TOY run has at most 6 slots over 2 strings and 4 shared
+        # characters, and a random generator; the budget bounds the batch.
+        assert 0 < len(derived) <= _engine.ROUND_BYTES // (6 * (25 * 2 + 4 * 4) + 2_500)
+        assert first == random_mcs(TOY, seed=derive_run_seed(0, 0))

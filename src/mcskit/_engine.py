@@ -1,17 +1,16 @@
-"""Vectorized rescan of insertion slots and their character bags.
+"""Occurrence tables, slot scan and draw loop of the randomized search.
 
-The randomized search recomputes, for every slot k of the current
-subsequence, the per-string middle substrings and the multiset of
-characters they share. :class:`BreakpointScanner` does that for a batch
-of R searches at once: :meth:`BreakpointScanner.slots` takes the current
-subsequences of R runs, all of one length, and scans every slot of every
-run over every string with numpy occurrence tables, one flat ``take`` a
-step over all R x L cursors. :meth:`BreakpointScanner.scan` is the same
-kernel at R = 1, formatted as the contract primitives in
-:mod:`mcskit.subsequence` define it; the tests compare the two. Only
-characters common to every string can ever appear in a bag, so the
-tables cover just those characters. :data:`ROUND_BYTES` sizes both the
-batch and the count gather.
+:class:`BreakpointScanner` holds all three layers for one string set.
+Its constructor builds numpy occurrence tables, capped by
+:data:`MAX_TABLE_BYTES`. :meth:`BreakpointScanner.slots` scans every
+slot of R runs of one length over every string at once, one flat
+``take`` a step over all R x L cursors. :meth:`BreakpointScanner.search`
+advances batches of seeded runs in lockstep through it, one call a
+round. :meth:`BreakpointScanner.scan` is the kernel at R = 1, formatted
+as the contract primitives in :mod:`mcskit.subsequence` define it; the
+tests compare the two. Only characters common to every string can ever
+appear in a bag, so the tables cover just those characters.
+:data:`ROUND_BYTES` sizes both the batch and the count gather.
 
 The strings lie end to end in one text of n characters; boundary i of
 ``strings[l]`` is offset ``starts[l] + i``. Each table has one row per
@@ -24,8 +23,14 @@ string's end; later lookups only move right, so :meth:`scan` checks its
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import islice
+from random import Random
+from typing import Iterable, Iterator
+
 import numpy as np
 
+from ._validation import UNIFORM, SizeGuardError
 from .subsequence import is_subsequence
 
 # Byte budget of one lockstep round. It fixes how many runs advance
@@ -34,6 +39,12 @@ from .subsequence import is_subsequence
 # covers, so a round on a large string set allocates about what one
 # single-run scan did.
 ROUND_BYTES = 1 << 20
+
+# Cap on a scanner's build, in bytes: the tables and the build's mask
+# take about 13 bytes per shared character and text character, so 1 GiB
+# fits 8,000 strings of 500 over 20 shared characters. A cap below 8 GiB
+# also keeps every flat table offset within int32.
+MAX_TABLE_BYTES = 1 << 30
 
 
 def code_points(text: str) -> np.ndarray:
@@ -60,13 +71,19 @@ class BreakpointScanner:
         shared = sorted(set(strings[0]).intersection(*strings[1:]))
         self.alphabet = shared
         self._char_index = {c: i for i, c in enumerate(shared)}
-        # Offsets fit int32 until the tables need gigabytes. bounds[0] and
-        # bounds[1] hold where each string starts and ends in the text.
+        # Offsets fit int32 under MAX_TABLE_BYTES. bounds[0] and bounds[1]
+        # hold where each string starts and ends in the text.
         lengths = np.array([len(s) for s in strings], dtype=np.int32)
         self._bounds = bounds = np.empty((2, 1, len(strings)), dtype=np.int32)
         np.cumsum(lengths, out=bounds[1, 0])
         np.subtract(bounds[1, 0], lengths, out=bounds[0, 0])
         n = int(bounds[1, 0, -1])
+        need = 13 * len(shared) * (n + 2)
+        if need > MAX_TABLE_BYTES:
+            raise SizeGuardError(
+                f"scanner tables would need about {need} bytes for {len(shared)} shared "
+                f"characters over {n} characters (> MAX_TABLE_BYTES = {MAX_TABLE_BYTES})"
+            )
         at = np.arange(n, dtype=np.int32)
         # hit[c, i]: text[i] is shared[c].
         hit = code_points("".join(shared))[:, None] == code_points("".join(strings))
@@ -111,26 +128,17 @@ class BreakpointScanner:
         self.batch = max(1, ROUND_BYTES // per_run)
         self._piece = max(1, ROUND_BYTES // (12 * len(strings) * max(len(shared), 1)))
 
-    def encode(self, w: str) -> list[int]:
+    def _row(self, w: str) -> list[int]:
         """The lookup row of common subsequence ``w``: the table rows its
         greedy embeddings read, forward (``w``'s alphabet indices) and then
         backward (the same reversed, each plus sigma)."""
         codes = [self._char_index[c] for c in w]
         return codes + [c + len(self.alphabet) for c in reversed(codes)]
 
-    def insert(self, row: list[int], k: int, c: int) -> None:
-        """Insert alphabet index ``c`` at slot ``k`` of lookup row ``row``."""
-        row.insert(k, c)
-        row.insert(len(row) - k, c + len(self.alphabet))
-
-    def decode(self, row: list[int]) -> str:
-        """The subsequence a lookup row stands for."""
-        return "".join([self.alphabet[c] for c in row[: len(row) // 2]])
-
     def slots(self, rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
         """Live slots of R common subsequences of one length m.
 
-        ``rows`` holds their lookup rows (:meth:`encode`). Returns
+        ``rows`` holds their lookup rows (:meth:`_row`). Returns
         ``(cell, counts)`` over the P live slots, ordered by row and then
         by slot: ``cell`` is ``row * (m + 1) + slot``, and row p of the
         P x sigma matrix ``counts`` is slot p's bag, the minimum count of
@@ -180,13 +188,55 @@ class BreakpointScanner:
         with empty bags are omitted. Every bag's keys come in sorted
         order. Raises ValueError when ``w`` is not a subsequence of every
         string. Repeated strings were dropped at construction; they would
-        not change any slot or bag. This is :meth:`slots` at R = 1; the
-        search calls the kernel directly.
+        not change any slot or bag. This is :meth:`slots` at R = 1;
+        :meth:`search` calls the kernel directly.
         """
         if not all(is_subsequence(w, s) for s in self._strings):
             raise ValueError(f"{w!r} is not a subsequence of every string")
-        slot, counts = self.slots([self.encode(w)])
+        slot, counts = self.slots([self._row(w)])
         return [
             (k, {self.alphabet[c]: n for c, n in enumerate(col) if n})
             for k, col in zip(slot.tolist(), counts.tolist())
         ]
+
+    def search(self, seeds: Iterable[int], weighting: str, start: str) -> Iterator[str]:
+        """Results of the runs seeded by ``seeds``, in seed order.
+
+        Runs grow from ``start``, which the caller has checked, and are
+        taken :attr:`batch` at a time. A batch advances in lockstep, one
+        character and one :meth:`slots` call a round; a run leaves once it
+        has no live slot, its row then holding its result. Each run draws
+        as a lone run would from its own ``Random(seed)``: a slot from its
+        live slots in slot order, then a character from that slot's bag in
+        alphabet order, with Python-int weights unless ``weighting`` is
+        uniform.
+        """
+        seeds = iter(seeds)
+        while batch := list(islice(seeds, self.batch)):
+            runs = [(Random(s), self._row(start)) for s in batch]
+            active, m = runs, len(start)
+            while active:
+                cell, counts = self.slots([row for _, row in active])
+                # Run j's live slots are cells j * (m + 1) .. j * (m + 1) + m.
+                cells = cell.tolist()
+                picks, moving = [], []
+                lo = 0
+                for j, run in enumerate(active):
+                    hi = bisect_left(cells, (j + 1) * (m + 1), lo)
+                    if hi > lo:
+                        picks.append(lo + run[0].randrange(hi - lo))
+                        moving.append(run)
+                    lo = hi
+                for (rng, row), p, bag in zip(moving, picks, counts.take(picks, axis=0).tolist()):
+                    chars = [c for c, n in enumerate(bag) if n]
+                    if weighting == UNIFORM:
+                        c = chars[rng.randrange(len(chars))]
+                    else:
+                        c = rng.choices(chars, weights=[n for n in bag if n])[0]
+                    k = cells[p] % (m + 1)
+                    row.insert(k, c)
+                    row.insert(len(row) - k, c + len(self.alphabet))
+                active = moving
+                m += 1
+            for _, row in runs:
+                yield "".join([self.alphabet[c] for c in row[: len(row) // 2]])

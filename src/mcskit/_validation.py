@@ -9,6 +9,10 @@ FREQUENCY = "frequency"
 WEIGHTINGS = (UNIFORM, FREQUENCY)
 
 
+class SizeGuardError(ValueError):
+    """Input exceeds an explicit size guard (the CLI exits 3)."""
+
+
 def check_strings(strings: Iterable[str]) -> tuple[str, ...]:
     """Normalize a string collection to a tuple and validate it.
 

@@ -18,17 +18,13 @@ from typing import Iterable
 import numpy as np
 
 from ._engine import code_points
-from ._validation import check_strings
+from ._validation import SizeGuardError, check_strings
 from .subsequence import is_subsequence
 
 MAX_LCS_STRINGS = 4
 MAX_LCS_CELLS = 10_000_000
 MAX_ENUM_STRINGS = 4
 MAX_ENUM_SHORTEST = 12
-
-
-class SizeGuardError(ValueError):
-    """Input exceeds the explicit size guards of an exact algorithm."""
 
 
 def lcs_dp(strings: Iterable[str]) -> str:

@@ -121,7 +121,14 @@ def planted_strings(spec: PlantedSpec) -> tuple[list[str], list[str]]:
 
 
 def write_corpus(directory: str | Path, strings: list[str], meta: dict) -> None:
-    """Write a corpus as newline-delimited UTF-8 plus a JSON sidecar."""
+    """Write a corpus as newline-delimited UTF-8 plus a JSON sidecar.
+
+    Raises ValueError, before writing anything, when a string holds a
+    ``\n`` or ``\r``: reading the file back would split it.
+    """
+    for i, s in enumerate(strings):
+        if "\n" in s or "\r" in s:
+            raise ValueError(f"string #{i} ({s!r}) holds a line break")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "strings.txt").write_text(
@@ -144,9 +151,10 @@ def read_string_file(path: str | Path) -> list[str]:
     """Newline-delimited UTF-8 strings, one per line.
 
     A trailing newline is optional; blank lines are empty strings (legal
-    input). An empty file holds no strings.
+    input). An empty file holds no strings. A leading byte-order mark,
+    as some editors write, is dropped.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     if text == "":
         return []
     if text.endswith("\n"):

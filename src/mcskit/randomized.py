@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
-from random import Random
 from typing import Callable, Iterable, Iterator
 
 from ._engine import BreakpointScanner
@@ -81,59 +78,15 @@ class RunSummary:
         }
 
 
-def _search(
-    scanner: BreakpointScanner, seeds: list[int], weighting: str, start: str
-) -> list[str]:
-    """Runs seeded by ``seeds``, advanced in lockstep; results in seed order.
-
-    Every run grows from ``start`` by one character a round, so the live
-    runs always share one length and one kernel call scans them all
-    (:meth:`BreakpointScanner.slots`); a run leaves once it has no live
-    slot. Each run draws from its own ``Random``, slot first and then
-    character, as a lone run would: its slot from its live slots in slot
-    order, its character from that slot's bag in alphabet order, with
-    Python-int weights under ``frequency``.
-    """
-    rngs = [Random(s) for s in seeds]
-    rows = [scanner.encode(start) for _ in seeds]
-    out = [""] * len(seeds)
-    active = list(range(len(seeds)))
-    m = len(start)
-    while active:
-        cell, counts = scanner.slots([rows[i] for i in active])
-        # Run j's live slots are cells j * (m + 1) .. j * (m + 1) + m.
-        cells = cell.tolist()
-        picks, moving = [], []
-        lo = 0
-        for j, i in enumerate(active):
-            hi = bisect_left(cells, (j + 1) * (m + 1), lo)
-            if hi > lo:
-                picks.append(lo + rngs[i].randrange(hi - lo))
-                moving.append(i)
-            else:
-                out[i] = scanner.decode(rows[i])
-            lo = hi
-        for i, p, bag in zip(moving, picks, counts.take(picks, axis=0).tolist()):
-            chars = [c for c, n in enumerate(bag) if n]
-            if weighting == UNIFORM:
-                c = chars[rngs[i].randrange(len(chars))]
-            else:
-                c = rngs[i].choices(chars, weights=[n for n in bag if n])[0]
-            scanner.insert(rows[i], cells[p] % (m + 1), c)
-        active = moving
-        m += 1
-    return out
-
-
 def _searcher(
     strings: Iterable[str], seed: int, weighting: str, start: str
 ) -> Callable[[Iterable[int]], Iterator[str]]:
     """Validate the inputs once, build one scanner, and return a function
     that maps stream seeds to search results, in seed order.
 
-    The seeds are drawn ``scanner.batch`` at a time and each batch runs in
-    lockstep (:func:`_search`), so a lazy seed iterable stays lazy and the
-    memory held is one batch's.
+    The function is :meth:`BreakpointScanner.search`, which takes the
+    seeds a batch at a time and runs each batch in lockstep, so a lazy
+    seed iterable stays lazy and the memory held is one batch's.
     """
     strs = check_strings(strings)
     check_seed(seed)
@@ -142,13 +95,7 @@ def _searcher(
         if not is_subsequence(start, s):
             raise ValueError(f"start {start!r} is not a subsequence of string #{i} ({s!r})")
     scanner = BreakpointScanner(strs)
-
-    def search(seeds: Iterable[int]) -> Iterator[str]:
-        seeds = iter(seeds)
-        while batch := list(islice(seeds, scanner.batch)):
-            yield from _search(scanner, batch, weighting, start)
-
-    return search
+    return lambda seeds: scanner.search(seeds, weighting, start)
 
 
 def random_mcs(
@@ -192,9 +139,11 @@ def run_many(
     Each run draws from its own stream seeded by
     ``derive_run_seed(master_seed, index)``, so the summary does not
     depend on execution order and is reproducible given the master seed.
-    The runs advance in lockstep batches, one scan per round for the
-    whole batch, and each equals the lone ``random_mcs`` run at its seed.
-    Repeated strings never change a result, and the scanner drops them.
+    The runs advance in lockstep batches through
+    :meth:`BreakpointScanner.search`, each equal to the lone
+    ``random_mcs`` run at its seed; tables that would pass
+    ``_engine.MAX_TABLE_BYTES`` raise :class:`SizeGuardError`. Repeated
+    strings never change a result, and the scanner drops them.
     """
     counts = Counter(_seeded_runs(strings, runs, master_seed, weighting, start))
     return RunSummary(total_runs=runs, counts=dict(counts))

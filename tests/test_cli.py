@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mcskit import derive_run_seed, random_mcs
+from mcskit import _engine, derive_run_seed, random_mcs
 from mcskit.cli import main
 
 
@@ -111,6 +111,21 @@ class TestLcsCommand:
         code, _, err = run(capsys, "lcs", "--input", str(p))
         assert code == 3
         assert "at most" in err
+
+    def test_byte_order_mark_is_not_a_character(self, capsys, tmp_path):
+        p = tmp_path / "bom.txt"
+        p.write_bytes(b"\xef\xbb\xbfabc\n")
+        code, out, _ = run(capsys, "lcs", "--input", str(p))
+        assert code == 0 and out.splitlines() == ["abc", "length 3"]
+
+
+class TestScannerGuard:
+    def test_oversized_tables_exit_3(self, capsys, toy_file, monkeypatch):
+        # TEGAP / GAEPR: 4 shared characters over 10 text characters.
+        monkeypatch.setattr(_engine, "MAX_TABLE_BYTES", 13 * 4 * 12 - 1)
+        code, out, err = run(capsys, "mcs", "--input", toy_file, "--runs", "3")
+        assert code == 3 and out == ""
+        assert "MAX_TABLE_BYTES" in err
 
 
 class TestOneMcsCommand:

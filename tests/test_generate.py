@@ -127,6 +127,17 @@ class TestCorpusIo:
         p.write_text("a\nb\n", encoding="utf-8")
         assert read_string_file(p) == ["a", "b"]
 
+    def test_read_string_file_drops_byte_order_mark(self, tmp_path):
+        p = tmp_path / "strings.txt"
+        p.write_bytes(b"\xef\xbb\xbfabc\n")
+        assert read_string_file(p) == ["abc"]
+
+    def test_write_corpus_rejects_line_breaks_before_writing(self, tmp_path):
+        for bad, index in ((["ab\ncd", "plain"], 0), (["plain", "x\ry"], 1)):
+            with pytest.raises(ValueError, match=f"string #{index}"):
+                write_corpus(tmp_path / "c", bad, {"kind": "random"})
+            assert not (tmp_path / "c").exists()
+
     def test_meta_is_valid_json(self, tmp_path):
         write_corpus(tmp_path / "c", ["a"], {"kind": "random"})
         raw = (tmp_path / "c" / "meta.json").read_text()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mcskit import (
     RandomMCS,
     RunSummary,
+    SizeGuardError,
     derive_run_seed,
     enumerate_mcs,
     is_maximal,
@@ -21,7 +22,7 @@ from mcskit import (
     required_runs,
     run_many,
 )
-from mcskit import _engine, randomized
+from mcskit import _engine, exact, randomized
 from mcskit.randomized import _seeded_runs
 from tests.conftest import random_instance
 
@@ -299,3 +300,17 @@ class TestLockstepRuns:
         # characters, and a random generator; the budget bounds the batch.
         assert 0 < len(derived) <= _engine.ROUND_BYTES // (6 * (25 * 2 + 4 * 4) + 2_500)
         assert first == random_mcs(TOY, seed=derive_run_seed(0, 0))
+
+
+class TestScannerGuard:
+    # TOY has 4 shared characters over 10 text characters: 13 * 4 * 12 bytes.
+    def test_oversized_tables_raise(self, monkeypatch):
+        monkeypatch.setattr(_engine, "MAX_TABLE_BYTES", 13 * 4 * 12 - 1)
+        with pytest.raises(SizeGuardError, match="MAX_TABLE_BYTES"):
+            random_mcs(TOY)
+        with pytest.raises(exact.SizeGuardError):
+            run_many(TOY, 3)
+
+    def test_tables_at_the_cap_build(self, monkeypatch):
+        monkeypatch.setattr(_engine, "MAX_TABLE_BYTES", 13 * 4 * 12)
+        assert random_mcs(TOY, seed=7) in {"GAP", "EP"}

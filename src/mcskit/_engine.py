@@ -4,21 +4,22 @@
 Its constructor builds numpy occurrence tables, capped by
 :data:`MAX_TABLE_BYTES`. :meth:`BreakpointScanner.slots` scans every
 slot of R runs of one length over every string at once, one flat
-``take`` a step over all R x L cursors. :meth:`BreakpointScanner.search`
-advances batches of seeded runs in lockstep through it, one call a
-round. :meth:`BreakpointScanner.scan` is the kernel at R = 1, formatted
-as the contract primitives in :mod:`mcskit.subsequence` define it; the
-tests compare the two. Only characters common to every string can ever
-appear in a bag, so the tables cover just those characters.
-:data:`ROUND_BYTES` sizes both the batch and the count gather.
+``take`` a step over all R x L cursors; the tests compare its slots and
+bags with the contract primitives in :mod:`mcskit.subsequence`.
+:meth:`BreakpointScanner.search` advances batches of seeded runs in
+lockstep through it, one call a round. Only characters common to every
+string can ever appear in a bag, so the tables cover just those
+characters. :data:`ROUND_BYTES` sizes both the batch and the count
+gather.
 
 The strings lie end to end in one text of n characters; boundary i of
 ``strings[l]`` is offset ``starts[l] + i``. Each table has one row per
 shared character over the boundaries of that text, about 12 bytes per
 shared character and text character in all. A lookup that finds no c
 left in a string lands in a later string or past the text, beyond the
-string's end; later lookups only move right, so :meth:`scan` checks its
-``w`` before the kernel runs.
+string's end, and the kernel cannot tell that miss from a hit. So
+callers pass only common subsequences: ``randomized._searcher`` checks
+``start``, and each character a run adds comes from a bag.
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ._validation import UNIFORM, SizeGuardError
-from .subsequence import is_subsequence
 
 # Byte budget of one lockstep round. It fixes how many runs advance
 # together (their cursor arrays and count columns fit in it at the
 # longest possible subsequence) and how many slots one count gather
-# covers, so a round on a large string set allocates about what one
-# single-run scan did.
+# covers.
 ROUND_BYTES = 1 << 20
 
 # Cap on a scanner's build, in bytes: the tables and the build's mask
@@ -67,7 +66,7 @@ class BreakpointScanner:
 
     def __init__(self, strings: tuple[str, ...]):
         # Bags are minima over strings and a live slot needs every string: repeats change neither.
-        self._strings = strings = tuple(dict.fromkeys(strings))
+        strings = tuple(dict.fromkeys(strings))
         shared = sorted(set(strings[0]).intersection(*strings[1:]))
         self.alphabet = shared
         self._char_index = {c: i for i, c in enumerate(shared)}
@@ -179,25 +178,6 @@ class BreakpointScanner:
             np.minimum.reduce(gathered[1] - gathered[0], axis=0, out=counts[a : a + self._piece])
         live = np.logical_or.reduce(counts, axis=1).nonzero()[0]
         return cand.take(live), counts.take(live, axis=0)
-
-    def scan(self, w: str) -> list[tuple[int, dict[str, int]]]:
-        """All (slot, bag) pairs for common subsequence ``w``, slot-sorted.
-
-        ``bag`` maps each character shared by all middle substrings at
-        that slot to its minimum occurrence count across them. Slots
-        with empty bags are omitted. Every bag's keys come in sorted
-        order. Raises ValueError when ``w`` is not a subsequence of every
-        string. Repeated strings were dropped at construction; they would
-        not change any slot or bag. This is :meth:`slots` at R = 1;
-        :meth:`search` calls the kernel directly.
-        """
-        if not all(is_subsequence(w, s) for s in self._strings):
-            raise ValueError(f"{w!r} is not a subsequence of every string")
-        slot, counts = self.slots([self._row(w)])
-        return [
-            (k, {self.alphabet[c]: n for c, n in enumerate(col) if n})
-            for k, col in zip(slot.tolist(), counts.tolist())
-        ]
 
     def search(self, seeds: Iterable[int], weighting: str, start: str) -> Iterator[str]:
         """Results of the runs seeded by ``seeds``, in seed order.

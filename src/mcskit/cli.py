@@ -115,8 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--column", default=None, help="profile only this column")
     p.add_argument("--delimiter", default=",", help="field delimiter (default ,)")
     p.add_argument("--runs", type=int, default=100, help="search runs per column (default 100)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--weighted", action="store_true", help="frequency-weighted character selection")
+    _add_random_opts(p)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_profile)
 

@@ -57,9 +57,15 @@ class TestMcsCommand:
         )
         assert code == 0 and out.split() == ["GAP", "GAP", "GAP"]
 
-    def test_non_common_constraint_is_usage_error(self, capsys, toy_file):
+    def test_non_common_constraint_is_usage_error(self, capsys, tmp_path, toy_file):
         code, _, err = run(capsys, "mcs", "--input", toy_file, "--constrain", "ZZ")
         assert code == 2
+        assert "error" in err
+        # "ba" has no "b" after its "a"; in the flat text the next "b" is in "ab".
+        p = tmp_path / "ragged.txt"
+        p.write_text("ba\nab\nab\n", encoding="utf-8")
+        code, out, err = run(capsys, "mcs", "--input", str(p), "--constrain", "ab")
+        assert code == 2 and out == ""
         assert "error" in err
 
     def test_dedup_flag(self, capsys, tmp_path, toy_file):

@@ -1,4 +1,4 @@
-"""The vectorized scan must be observably identical to the contract
+"""The lockstep kernel must be observably identical to the contract
 primitives: same slots, same bags, same search outputs."""
 
 import random
@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcskit import breakpoints, common_chars, middle, random_mcs, run_many
+from mcskit import breakpoints, common_chars, is_subsequence, middle, random_mcs, run_many
 from mcskit._engine import BreakpointScanner
 from tests.conftest import random_instance
 
 
 def common_subsequences_sample(rng, strs, how_many=6):
-    """A few random common subsequences, including '' and a maximal one."""
-    probes = {"", random_mcs(strs, seed=rng.randint(0, 10**6))}
-    base = probes.copy()
-    for w in base:
-        for _ in range(how_many):
-            keep = "".join(c for c in w if rng.random() < 0.6)
-            probes.add(keep)
+    """A few random common subsequences: '', a maximal one, random
+    subsequences of it, and each of its one-character deletions, which
+    share a length and so share one ``slots`` call."""
+    mcs = random_mcs(strs, seed=rng.randint(0, 10**6))
+    probes = {"", mcs} | {mcs[:i] + mcs[i + 1 :] for i in range(len(mcs))}
+    for _ in range(how_many):
+        probes.add("".join(c for c in mcs if rng.random() < 0.6))
     return sorted(probes)
 
 
@@ -31,6 +31,33 @@ def contract_scan(strs, w):
     return out
 
 
+def slot_scan(scanner, ws):
+    """One ``slots`` call on the common subsequences ``ws``, all of one
+    length m, split back into one (slot, bag) list per row: cell
+    ``j * (m + 1) + k`` is slot k of row j, and column c of ``counts``
+    counts ``alphabet[c]``."""
+    m = len(ws[0])
+    cell, counts = scanner.slots([scanner._row(w) for w in ws])
+    assert counts.shape == (len(cell), len(scanner.alphabet))
+    out = [[] for _ in ws]
+    for at, col in zip(cell.tolist(), counts.tolist()):
+        row, k = divmod(at, m + 1)
+        out[row].append((k, {scanner.alphabet[c]: n for c, n in enumerate(col) if n}))
+    return out
+
+
+def assert_slots_agree(strs, ws, scanner=None):
+    """Scan ``ws`` with one ``slots`` call per length and compare every row
+    with the contract scan."""
+    scanner = scanner or BreakpointScanner(strs)
+    groups = {}
+    for w in ws:
+        groups.setdefault(len(w), []).append(w)
+    for group in groups.values():
+        for w, got in zip(group, slot_scan(scanner, group)):
+            assert got == contract_scan(strs, w), (strs, w, group)
+
+
 class TestScanEquivalence:
     def test_paths_agree_on_random_instances(self):
         rng = random.Random(8)
@@ -39,16 +66,14 @@ class TestScanEquivalence:
             strs = tuple(
                 random_instance(rng, n_strings, rng.randint(1, 25), rng.randint(2, 6), min_len=0)
             )
-            scanner = BreakpointScanner(strs)
-            for w in common_subsequences_sample(rng, strs):
-                assert scanner.scan(w) == contract_scan(strs, w), (strs, w)
+            assert_slots_agree(strs, common_subsequences_sample(rng, strs))
 
     def test_paths_agree_with_contract_functions(self):
         rng = random.Random(21)
         for _ in range(25):
             strs = tuple(random_instance(rng, rng.randint(2, 5), 12, 4))
             w = random_mcs(strs, seed=1)[:2]
-            assert BreakpointScanner(strs).scan(w) == contract_scan(strs, w), (strs, w)
+            assert_slots_agree(strs, [w])
 
     def test_agrees_on_non_ascii_strings(self):
         """Lone surrogates, astral-plane and combining characters."""
@@ -59,26 +84,28 @@ class TestScanEquivalence:
                 "".join(rng.choice(chars) for _ in range(rng.randint(1, 14)))
                 for _ in range(rng.randint(2, 5))
             )
-            scanner = BreakpointScanner(strs)
-            for w in common_subsequences_sample(rng, strs):
-                assert scanner.scan(w) == contract_scan(strs, w), (strs, w)
+            assert_slots_agree(strs, common_subsequences_sample(rng, strs))
 
     def test_numpy_path_rejects_non_common_subsequence(self):
-        scanner = BreakpointScanner(("TEGAP", "GAEPR"))
+        # The kernel cannot detect a non-common row, so the search entries
+        # check a start before building one.
         for w in ("XYZ", "PG", "GAPP"):
             with pytest.raises(ValueError):
-                scanner.scan(w)
+                random_mcs(("TEGAP", "GAEPR"), start=w)
+            with pytest.raises(ValueError):
+                run_many(("TEGAP", "GAEPR"), 3, start=w)
         # No shared character at all: the tables are empty, w still checked.
         for strs in [("a" * 40, "b" * 40), ("ab", ""), ("\ud800", "\U0001f600")]:
-            scanner = BreakpointScanner(strs)
-            assert scanner.scan("") == []
+            assert random_mcs(strs) == ""
             for w in set(strs[0]):
                 with pytest.raises(ValueError):
-                    scanner.scan(w)
+                    random_mcs(strs, start=w)
 
     def test_edge_inputs(self):
-        for strs in [("",), ("", "abc"), ("a",), ("abc", "abc", "abc"), ("\U0001f600",)]:
-            assert BreakpointScanner(strs).scan("") == contract_scan(strs, "")
+        # The last three share no character at all, so their tables are empty.
+        for strs in [("",), ("", "abc"), ("a",), ("abc", "abc", "abc"), ("\U0001f600",),
+                     ("a" * 40, "b" * 40), ("ab", ""), ("\ud800", "\U0001f600")]:
+            assert_slots_agree(strs, ["", ""])
 
 
 # Seeded outputs recorded before the plain-Python scan was removed; that
@@ -129,13 +156,6 @@ POOL = st.sampled_from(["a", "b", "c", "\ud800", "\U0001f600"])
 STRING_SETS = st.lists(st.text(alphabet=POOL, max_size=12), min_size=1, max_size=6).map(tuple)
 
 
-def scan_or_raise(scan, *args):
-    try:
-        return scan(*args)
-    except ValueError:
-        return ValueError
-
-
 class TestFlatLayout:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -147,9 +167,14 @@ class TestFlatLayout:
     def test_agrees_with_contract_on_ragged_sets(self, strs, seed, keep, arbitrary):
         mcs = random_mcs(strs, seed=seed)
         sub = "".join(c for c, k in zip(mcs, keep) if k)
-        scanner = BreakpointScanner(strs)
-        for w in (mcs, sub, arbitrary):
-            assert scan_or_raise(scanner.scan, w) == scan_or_raise(contract_scan, strs, w), w
+        # The one-character deletions of mcs share one kernel call.
+        ws = [mcs, sub] + [mcs[:i] + mcs[i + 1 :] for i in range(len(mcs))]
+        if all(is_subsequence(arbitrary, s) for s in strs):
+            ws.append(arbitrary)
+        else:
+            with pytest.raises(ValueError):
+                random_mcs(strs, start=arbitrary)
+        assert_slots_agree(strs, ws)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -161,24 +186,27 @@ class TestFlatLayout:
         # The scanner drops repeats; the contract scan sees every copy.
         full = strs + tuple(strs[i % len(strs)] for i in repeats)
         mcs = random_mcs(strs, seed=seed)
-        scanner = BreakpointScanner(full)
-        for w in (mcs, mcs[::2], ""):
-            assert scan_or_raise(scanner.scan, w) == scan_or_raise(contract_scan, full, w), w
+        assert_slots_agree(full, [mcs, mcs[::2], ""])
 
     def test_miss_running_into_the_next_string_raises(self):
         # "ba" has no "b" after its "a"; the next "b" in the text is in "ab".
+        # The kernel cannot tell that miss from a hit, so the search entry
+        # must reject the start.
         strs = ("ba", "ab", "ab")
         with pytest.raises(ValueError):
-            BreakpointScanner(strs).scan("ab")
+            random_mcs(strs, start="ab")
+        with pytest.raises(ValueError):
+            run_many(strs, 3, start="ab")
         with pytest.raises(ValueError):
             contract_scan(strs, "ab")
 
     def test_bag_keys_come_sorted(self):
+        # Column c of counts is alphabet[c], and a draw walks a bag in that
+        # order: the alphabet is the sorted shared set.
         rng = random.Random(55)
         families = [strs for strs, *_ in GOLDEN]
         families += [tuple(random_instance(rng, rng.randint(1, 6), 20, 6, min_len=0)) for _ in range(40)]
         for strs in families:
             scanner = BreakpointScanner(strs)
-            for w in common_subsequences_sample(rng, strs):
-                for _, bag in scanner.scan(w):
-                    assert list(bag) == sorted(bag), (strs, w)
+            assert scanner.alphabet == sorted(common_chars(strs)), strs
+            assert_slots_agree(strs, common_subsequences_sample(rng, strs), scanner)

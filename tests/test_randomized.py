@@ -296,9 +296,8 @@ class TestLockstepRuns:
         runs = _seeded_runs(TOY, 10**6, 0, "uniform", "")
         assert derived == []
         first = next(runs)
-        # A TOY run has at most 6 slots over 2 strings and 4 shared
-        # characters, and a random generator; the budget bounds the batch.
-        assert 0 < len(derived) <= _engine.ROUND_BYTES // (6 * (25 * 2 + 4 * 4) + 2_500)
+        # The round budget bounds the batch: 362 runs on TOY.
+        assert 0 < len(derived) <= _engine.BreakpointScanner(TOY).batch
         assert first == random_mcs(TOY, seed=derive_run_seed(0, 0))
 
 

@@ -7,10 +7,12 @@ slot of R runs of one length over every string at once, one flat
 ``take`` a step over all R x L cursors; the tests compare its slots and
 bags with the contract primitives in :mod:`mcskit.subsequence`.
 :meth:`BreakpointScanner.search` advances batches of seeded runs in
-lockstep through it, one call a round. Only characters common to every
-string can ever appear in a bag, so the tables cover just those
-characters. :data:`ROUND_BYTES` sizes both the batch and the count
-gather.
+lockstep through it, one call a round, and keeps what each call found
+for the rest of the search, so repeated runs scan each distinct
+subsequence once. Only characters common to every string can ever
+appear in a bag, so the tables cover just those characters.
+:data:`ROUND_BYTES` sizes the batch and the count gather, and bounds what
+a search keeps.
 
 The strings lie end to end in one text of n characters; boundary i of
 ``strings[l]`` is offset ``starts[l] + i``. Each table has one row per
@@ -36,7 +38,8 @@ from ._validation import UNIFORM, SizeGuardError
 # Byte budget of one lockstep round. It fixes how many runs advance
 # together (their cursor arrays and count columns fit in it at the
 # longest possible subsequence) and how many slots one count gather
-# covers.
+# covers. It also bounds the scanned subsequences one search keeps: at
+# 1 byte a search keeps none and every run scans every round.
 ROUND_BYTES = 1 << 20
 
 # Cap on a scanner's build, in bytes: the tables and the build's mask
@@ -184,30 +187,61 @@ class BreakpointScanner:
 
         Runs grow from ``start``, which the caller has checked, and are
         taken :attr:`batch` at a time. A batch advances in lockstep, one
-        character and one :meth:`slots` call a round; a run leaves once it
-        has no live slot, its row then holding its result. Each run draws
-        as a lone run would from its own ``Random(seed)``: a slot from its
-        live slots in slot order, then a character from that slot's bag in
-        alphabet order, with Python-int weights unless ``weighting`` is
-        uniform.
+        character a round; a run leaves once it has no live slot, its
+        subsequence then being its result. Each run draws as a lone run
+        would from its own ``Random(seed)``: a slot from its live slots in
+        slot order, then a character from that slot's bag in alphabet
+        order, with Python-int weights unless ``weighting`` is uniform.
+
+        The live slots of a subsequence depend on nothing else, and
+        repeated runs keep reaching the same ones, so a round passes
+        :meth:`slots` only the distinct subsequences this search has not
+        scanned yet. Later batches of the search reuse what a scan found
+        until the kept counts, cells and entries would pass
+        :data:`ROUND_BYTES`; none is dropped. A batch short of full is
+        the last, so it keeps nothing.
         """
+        # seen[w]: where w's live slots lie in the slots result that scanned
+        # it, (cells, counts, lo, hi): entries lo .. hi - 1 of both.
+        seen, held = {}, 0
         seeds = iter(seeds)
         while batch := list(islice(seeds, self.batch)):
-            runs = [(Random(s), self._row(start)) for s in batch]
+            # Runs of one batch grow in step, so only a later batch can
+            # reach a subsequence this one scanned.
+            keep = len(batch) == self.batch
+            # A run is [rng, lookup row, subsequence].
+            runs = [[Random(s), self._row(start), start] for s in batch]
             active, m = runs, len(start)
             while active:
-                cell, counts = self.slots([row for _, row in active])
-                # Run j's live slots are cells j * (m + 1) .. j * (m + 1) + m.
-                cells = cell.tolist()
-                picks, moving = [], []
-                lo = 0
-                for j, run in enumerate(active):
-                    hi = bisect_left(cells, (j + 1) * (m + 1), lo)
-                    if hi > lo:
-                        picks.append(lo + run[0].randrange(hi - lo))
-                        moving.append(run)
-                    lo = hi
-                for (rng, row), p, bag in zip(moving, picks, counts.take(picks, axis=0).tolist()):
+                # Runs at one subsequence share its row and its scan.
+                fresh = {}
+                for _, row, w in active:
+                    if w not in seen:
+                        fresh[w] = row
+                found = {}
+                if fresh:
+                    cell, counts = self.slots(list(fresh.values()))
+                    # Row j's live slots are cells j * (m + 1) .. j * (m + 1) + m.
+                    cells = cell.tolist()
+                    lo = 0
+                    for j, w in enumerate(fresh):
+                        hi = bisect_left(cells, (j + 1) * (m + 1), lo)
+                        found[w] = (cells, counts, lo, hi)
+                        lo = hi
+                    # A cell costs a list slot and an int; an entry its
+                    # tuple, its dict slot and its key.
+                    size = counts.nbytes + 36 * len(cells) + (200 + 4 * m) * len(found)
+                    if keep and held + size <= ROUND_BYTES:
+                        seen.update(found)
+                        held += size
+                moving = []
+                for run in active:
+                    rng, row, w = run
+                    cells, counts, lo, hi = found.get(w) or seen[w]
+                    if hi == lo:
+                        continue
+                    p = lo + rng.randrange(hi - lo)
+                    bag = counts[p].tolist()
                     chars = [c for c, n in enumerate(bag) if n]
                     if weighting == UNIFORM:
                         c = chars[rng.randrange(len(chars))]
@@ -216,7 +250,9 @@ class BreakpointScanner:
                     k = cells[p] % (m + 1)
                     row.insert(k, c)
                     row.insert(len(row) - k, c + len(self.alphabet))
+                    run[2] = w[:k] + self.alphabet[c] + w[k:]
+                    moving.append(run)
                 active = moving
                 m += 1
-            for _, row in runs:
-                yield "".join([self.alphabet[c] for c in row[: len(row) // 2]])
+            for _, _, w in runs:
+                yield w

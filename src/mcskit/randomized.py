@@ -86,7 +86,9 @@ def _searcher(
 
     The function is :meth:`BreakpointScanner.search`, which takes the
     seeds a batch at a time and runs each batch in lockstep, so a lazy
-    seed iterable stays lazy and the memory held is one batch's.
+    seed iterable stays lazy. The memory held is one batch's plus the
+    scanned subsequences the search keeps, which
+    ``_engine.ROUND_BYTES`` bounds.
     """
     strs = check_strings(strings)
     check_seed(seed)

@@ -263,7 +263,9 @@ class TestLockstepRuns:
     """Runs advanced together equal runs made one at a time, across every
     batch and gather-piece boundary."""
 
-    @pytest.mark.parametrize("budget", [1, 1 << 40], ids=["one-run-batches", "one-batch"])
+    @pytest.mark.parametrize(
+        "budget", [1, 4096, 1 << 40], ids=["one-run-batches", "memo-fills-partway", "one-batch"]
+    )
     @settings(max_examples=60, deadline=None)
     @given(
         strs=REPEATED_SETS,
@@ -281,7 +283,8 @@ class TestLockstepRuns:
             for i in range(runs)
         ]
         with pytest.MonkeyPatch.context() as mp:
-            # A 1-byte budget makes every batch one run and every gather one slot.
+            # A 1-byte budget makes every batch one run and every gather one
+            # slot, and keeps no scanned subsequence; 4096 bytes keep some.
             mp.setattr(_engine, "ROUND_BYTES", budget)
             assert list(_seeded_runs(strs, runs, master, weighting, start)) == single
 
@@ -299,6 +302,37 @@ class TestLockstepRuns:
         # The round budget bounds the batch: 362 runs on TOY.
         assert 0 < len(derived) <= _engine.BreakpointScanner(TOY).batch
         assert first == random_mcs(TOY, seed=derive_run_seed(0, 0))
+
+
+# Every day of 2015 up to the 28th: few distinct subsequences, many runs.
+DATES = [f"2015-{m:02d}-{d:02d}" for m in range(1, 13) for d in range(1, 29)]
+
+
+class TestScanMemo:
+    """One search scans each distinct subsequence once across its runs."""
+
+    @pytest.mark.parametrize(
+        "weighting, start", [("uniform", ""), ("frequency", ""), ("uniform", "20--")]
+    )
+    def test_each_state_is_scanned_once(self, monkeypatch, weighting, start):
+        scanned = []
+        slots = _engine.BreakpointScanner.slots
+
+        def counting(self, rows):
+            scanned.extend(tuple(row) for row in rows)
+            return slots(self, rows)
+
+        monkeypatch.setattr(_engine.BreakpointScanner, "slots", counting)
+        with pytest.MonkeyPatch.context() as mp:
+            # A 1-byte budget keeps nothing: every run scans every round.
+            mp.setattr(_engine, "ROUND_BYTES", 1)
+            unkept = list(_seeded_runs(DATES, 100, 0, weighting, start))
+        states, rounds = set(scanned), len(scanned)
+        scanned.clear()
+        kept = list(_seeded_runs(DATES, 100, 0, weighting, start))
+        assert len(scanned) == len(states) < rounds
+        assert set(scanned) == states
+        assert kept == unkept
 
 
 class TestScannerGuard:

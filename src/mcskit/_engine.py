@@ -2,17 +2,17 @@
 
 :class:`BreakpointScanner` holds all three layers for one string set.
 Its constructor builds numpy occurrence tables, capped by
-:data:`MAX_TABLE_BYTES`. :meth:`BreakpointScanner.slots` scans every
-slot of R runs of one length over every string at once, one flat
-``take`` a step over all R x L cursors; the tests compare its slots and
-bags with the contract primitives in :mod:`mcskit.subsequence`.
-:meth:`BreakpointScanner.search` advances batches of seeded runs in
-lockstep through it, one call a round, and keeps what each call found
-for the rest of the search, so repeated runs scan each distinct
-subsequence once. Only characters common to every string can ever
-appear in a bag, so the tables cover just those characters.
-:data:`ROUND_BYTES` sizes the batch and the count gather, and bounds what
-a search keeps.
+:data:`MAX_TABLE_BYTES`. :meth:`BreakpointScanner.slots` takes R common
+subsequences of one length and scans every slot of each over every
+string at once, one flat ``take`` a step over all R x L cursors; the
+tests compare its slots and bags with the contract primitives in
+:mod:`mcskit.subsequence`. :meth:`BreakpointScanner.search` advances
+batches of seeded runs in lockstep through it, one call a round, and
+keeps what each call found for the rest of the search, so repeated runs
+scan each distinct subsequence once. Only characters common to every
+string can ever appear in a bag, so the tables cover just those
+characters. :data:`ROUND_BYTES` sizes the batch and the count gather,
+and bounds what a search keeps.
 
 The strings lie end to end in one text of n characters; boundary i of
 ``strings[l]`` is offset ``starts[l] + i``. Each table has one row per
@@ -72,7 +72,8 @@ class BreakpointScanner:
         strings = tuple(dict.fromkeys(strings))
         shared = sorted(set(strings[0]).intersection(*strings[1:]))
         self.alphabet = shared
-        self._char_index = {c: i for i, c in enumerate(shared)}
+        # sorted orders a str by code point, so these ascend.
+        self._codes = code_points("".join(shared))
         # Offsets fit int32 under MAX_TABLE_BYTES. bounds[0] and bounds[1]
         # hold where each string starts and ends in the text.
         lengths = np.array([len(s) for s in strings], dtype=np.int32)
@@ -88,7 +89,7 @@ class BreakpointScanner:
             )
         at = np.arange(n, dtype=np.int32)
         # hit[c, i]: text[i] is shared[c].
-        hit = code_points("".join(shared))[:, None] == code_points("".join(strings))
+        hit = self._codes[:, None] == code_points("".join(strings))
 
         # Both cursor tables share one allocation, so one flat take a step
         # advances the forward and the backward cursors of every run.
@@ -130,24 +131,22 @@ class BreakpointScanner:
         self.batch = max(1, ROUND_BYTES // per_run)
         self._piece = max(1, ROUND_BYTES // (12 * len(strings) * max(len(shared), 1)))
 
-    def _row(self, w: str) -> list[int]:
-        """The lookup row of common subsequence ``w``: the table rows its
-        greedy embeddings read, forward (``w``'s alphabet indices) and then
-        backward (the same reversed, each plus sigma)."""
-        codes = [self._char_index[c] for c in w]
-        return codes + [c + len(self.alphabet) for c in reversed(codes)]
+    def slots(self, ws: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Live slots of R common subsequences ``ws`` of one length m.
 
-    def slots(self, rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-        """Live slots of R common subsequences of one length m.
-
-        ``rows`` holds their lookup rows (:meth:`_row`). Returns
-        ``(cell, counts)`` over the P live slots, ordered by row and then
-        by slot: ``cell`` is ``row * (m + 1) + slot``, and row p of the
-        P x sigma matrix ``counts`` is slot p's bag, the minimum count of
-        each shared character over its middle substrings.
+        Returns ``(cell, counts)`` over the P live slots, ordered by
+        subsequence and then by slot: ``cell`` is ``j * (m + 1) + slot``
+        for ``ws[j]``, and row p of the P x sigma matrix ``counts`` is slot
+        p's bag, the minimum count of each shared character over its middle
+        substrings.
         """
-        r, n_str = len(rows), self._bounds.shape[2]
-        m = len(rows[0]) // 2
+        r, n_str, m = len(ws), self._bounds.shape[2], len(ws[0])
+        # The table rows the greedy embeddings read: forward each w's
+        # alphabet indices (its code points' positions in the ascending
+        # _codes), backward those of w reversed, each plus sigma.
+        text = code_points("".join(ws) + "".join([w[::-1] for w in ws]))
+        rows = self._codes.searchsorted(text).reshape(2, r, m)
+        rows[1] += len(self.alphabet)
         # cur[t, 0]: per run and string, the offset ending the shortest
         # prefix that contains the run's first t characters (greedy
         # leftmost embedding). cur[t, 1]: the offset starting the shortest
@@ -156,7 +155,7 @@ class BreakpointScanner:
         # R x L cursors; every index is in the table.
         cur = np.empty((m + 1, 2, r, n_str), dtype=np.int32)
         cur[0] = self._bounds
-        step = self._row_offsets.take(np.array(rows, dtype=np.int32).reshape(r, 2, m).T, axis=0)
+        step = self._row_offsets.take(rows.transpose(2, 0, 1), axis=0)
         table = self._tables.reshape(-1)
         for at, here, there in zip(step, cur, cur[1:]):
             np.add(at, here, out=at)
@@ -209,19 +208,16 @@ class BreakpointScanner:
             # Runs of one batch grow in step, so only a later batch can
             # reach a subsequence this one scanned.
             keep = len(batch) == self.batch
-            # A run is [rng, lookup row, subsequence].
-            runs = [[Random(s), self._row(start), start] for s in batch]
+            # A run is [rng, subsequence].
+            runs = [[Random(s), start] for s in batch]
             active, m = runs, len(start)
             while active:
-                # Runs at one subsequence share its row and its scan.
-                fresh = {}
-                for _, row, w in active:
-                    if w not in seen:
-                        fresh[w] = row
+                # Runs at one subsequence share its scan.
+                fresh = {w: None for _, w in active if w not in seen}
                 found = {}
                 if fresh:
-                    cell, counts = self.slots(list(fresh.values()))
-                    # Row j's live slots are cells j * (m + 1) .. j * (m + 1) + m.
+                    cell, counts = self.slots(list(fresh))
+                    # Fresh subsequence j's live slots are cells j * (m + 1) .. j * (m + 1) + m.
                     cells = cell.tolist()
                     lo = 0
                     for j, w in enumerate(fresh):
@@ -236,7 +232,7 @@ class BreakpointScanner:
                         held += size
                 moving = []
                 for run in active:
-                    rng, row, w = run
+                    rng, w = run
                     cells, counts, lo, hi = found.get(w) or seen[w]
                     if hi == lo:
                         continue
@@ -248,11 +244,9 @@ class BreakpointScanner:
                     else:
                         c = rng.choices(chars, weights=[n for n in bag if n])[0]
                     k = cells[p] % (m + 1)
-                    row.insert(k, c)
-                    row.insert(len(row) - k, c + len(self.alphabet))
-                    run[2] = w[:k] + self.alphabet[c] + w[k:]
+                    run[1] = w[:k] + self.alphabet[c] + w[k:]
                     moving.append(run)
                 active = moving
                 m += 1
-            for _, _, w in runs:
+            for _, w in runs:
                 yield w

@@ -33,22 +33,22 @@ def contract_scan(strs, w):
 
 def slot_scan(scanner, ws):
     """One ``slots`` call on the common subsequences ``ws``, all of one
-    length m, split back into one (slot, bag) list per row: cell
-    ``j * (m + 1) + k`` is slot k of row j, and column c of ``counts``
+    length m, split back into one (slot, bag) list per subsequence: cell
+    ``j * (m + 1) + k`` is slot k of ``ws[j]``, and column c of ``counts``
     counts ``alphabet[c]``."""
     m = len(ws[0])
-    cell, counts = scanner.slots([scanner._row(w) for w in ws])
+    cell, counts = scanner.slots(ws)
     assert counts.shape == (len(cell), len(scanner.alphabet))
     out = [[] for _ in ws]
     for at, col in zip(cell.tolist(), counts.tolist()):
-        row, k = divmod(at, m + 1)
-        out[row].append((k, {scanner.alphabet[c]: n for c, n in enumerate(col) if n}))
+        j, k = divmod(at, m + 1)
+        out[j].append((k, {scanner.alphabet[c]: n for c, n in enumerate(col) if n}))
     return out
 
 
 def assert_slots_agree(strs, ws, scanner=None):
-    """Scan ``ws`` with one ``slots`` call per length and compare every row
-    with the contract scan."""
+    """Scan ``ws`` with one ``slots`` call per length and compare every
+    subsequence's slots with the contract scan."""
     scanner = scanner or BreakpointScanner(strs)
     groups = {}
     for w in ws:
@@ -76,9 +76,12 @@ class TestScanEquivalence:
             assert_slots_agree(strs, [w])
 
     def test_agrees_on_non_ascii_strings(self):
-        """Lone surrogates, astral-plane and combining characters."""
+        """Lone surrogates, astral-plane and combining characters. U+E000
+        sorts after the surrogates and before the astral characters by code
+        point, but after both in UTF-16 code units."""
         rng = random.Random(34)
-        chars = ["a", "b", "\u00e9", "\u0301", "\ud800", "\udfff", "\U0001f600", "\U00010348"]
+        chars = ["a", "b", "\u00e9", "\u0301", "\ud800", "\udfff", "\ue000", "\U0001f600",
+                 "\U00010348"]
         for _ in range(25):
             strs = tuple(
                 "".join(rng.choice(chars) for _ in range(rng.randint(1, 14)))
@@ -86,9 +89,17 @@ class TestScanEquivalence:
             )
             assert_slots_agree(strs, common_subsequences_sample(rng, strs))
 
+    def test_alphabet_index_is_the_code_point_rank(self):
+        # Every ordered pair of these is common to both strings. By code
+        # point U+E000 sorts before the astral characters; in UTF-16 code
+        # units it sorts after them, and U+1F600 before U+DFFF.
+        chars = "\ud800\udfff\ue000\U00010348\U0001f600"
+        strs = (chars + chars[::-1], chars[::-1] + chars)
+        assert_slots_agree(strs, list(chars) + [x + y for x in chars for y in chars])
+
     def test_numpy_path_rejects_non_common_subsequence(self):
-        # The kernel cannot detect a non-common row, so the search entries
-        # check a start before building one.
+        # The kernel cannot detect a non-common subsequence, so the search
+        # entries check a start before scanning it.
         for w in ("XYZ", "PG", "GAPP"):
             with pytest.raises(ValueError):
                 random_mcs(("TEGAP", "GAEPR"), start=w)

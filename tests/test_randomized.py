@@ -318,9 +318,9 @@ class TestScanMemo:
         scanned = []
         slots = _engine.BreakpointScanner.slots
 
-        def counting(self, rows):
-            scanned.extend(tuple(row) for row in rows)
-            return slots(self, rows)
+        def counting(self, ws):
+            scanned.extend(ws)
+            return slots(self, ws)
 
         monkeypatch.setattr(_engine.BreakpointScanner, "slots", counting)
         with pytest.MonkeyPatch.context() as mp:

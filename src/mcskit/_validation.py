@@ -36,14 +36,6 @@ def check_weighting(weighting: str) -> str:
     return weighting
 
 
-def check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return seed
-
-
 def check_count(value: int, name: str, minimum: int = 1) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")

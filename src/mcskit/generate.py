@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
-from ._validation import check_count, check_seed
+from ._validation import check_count
 from .randomized import derive_run_seed
 
 _BASE62 = _string.ascii_uppercase + _string.ascii_lowercase + _string.digits
@@ -38,7 +38,7 @@ def random_strings(n_strings: int, length: int, alphabet_size: int, seed: int = 
     check_count(n_strings, "n_strings")
     check_count(length, "length", minimum=0)
     chars = alphabet(alphabet_size)
-    check_seed(seed)
+    check_count(seed, "seed", minimum=0)
     out = []
     for i in range(n_strings):
         rng = Random(derive_run_seed(seed, i))
@@ -84,7 +84,7 @@ class PlantedSpec:
             )
         if self.core_alphabet_size > self.full_alphabet_size:
             raise ValueError("core alphabet cannot exceed the full alphabet")
-        check_seed(self.seed)
+        check_count(self.seed, "seed", minimum=0)
 
 
 def planted_strings(spec: PlantedSpec) -> tuple[list[str], list[str]]:

@@ -22,7 +22,6 @@ from ._engine import BreakpointScanner
 from ._validation import (
     UNIFORM,
     check_count,
-    check_seed,
     check_strings,
     check_unit_open,
     check_weighting,
@@ -91,7 +90,7 @@ def _searcher(
     ``_engine.ROUND_BYTES`` bounds.
     """
     strs = check_strings(strings)
-    check_seed(seed)
+    check_count(seed, "seed", minimum=0)
     check_weighting(weighting)
     for i, s in enumerate(strs):
         if not is_subsequence(start, s):

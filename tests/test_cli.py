@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: outputs, reproducibility, exit codes."""
 
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
-from mcskit import _engine, derive_run_seed, random_mcs
+from mcskit import _engine, bench, derive_run_seed, random_mcs
 from mcskit.cli import main
 
 
@@ -68,7 +70,7 @@ class TestMcsCommand:
         assert code == 2 and out == ""
         assert "error" in err
 
-    def test_dedup_flag(self, capsys, tmp_path, toy_file):
+    def test_repeated_strings_are_dropped_without_a_flag(self, capsys, tmp_path, toy_file):
         # Repeated strings are dropped without a flag, and the flag is gone.
         p = tmp_path / "dup.txt"
         p.write_text("TEGAP\nTEGAP\nGAEPR\n", encoding="utf-8")
@@ -216,14 +218,55 @@ class TestBenchCommand:
             capsys, "bench", "--l-values", "40,80", "--n", "20",
             "--alphabet", "4", "--runs", "3",
         )
-        assert "median_s" in out
         assert code in (0, 1)
+        header, *rows = out.splitlines()
+        assert header.split()[:3] == ["L", "median_s", "mean_m"]
+        assert [int(r.split()[0]) for r in rows[:2]] == [40, 80]
+        assert all(0 < float(r.split()[2]) <= 20 for r in rows[:2])
 
     def test_fewer_than_two_sizes_is_usage_error(self, capsys):
         for l_values in ("5", "100,100"):
             code, out, err = run(capsys, "bench", "--l-values", l_values, "--runs", "1")
             assert code == 2 and out == ""
             assert "at least two distinct" in err
+
+    @staticmethod
+    def script(monkeypatch, durations):
+        """Make the i-th timed run read ``durations[i]`` seconds on a
+        scripted clock, each search a no-op returning a 2-character
+        result, and the tolerance 4, so that with ideal ratio 2 both
+        bounds, 0.5 and 8, are exact floats."""
+        clock = iter([t for d in durations for t in (0.0, d)])
+        monkeypatch.setattr(bench, "random_mcs", lambda strings, seed: "ab")
+        monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        monkeypatch.setattr(bench, "SCALING_TOLERANCE", 4.0)
+
+    @pytest.mark.parametrize(
+        "ratio, passed",
+        [(0.5, True), (8.0, True), (math.nextafter(0.5, 0), False), (math.nextafter(8.0, 9), False)],
+    )
+    def test_verdict_bounds_are_inclusive(self, capsys, monkeypatch, ratio, passed):
+        self.script(monkeypatch, [1.0, ratio])
+        code, out, err = run(capsys, "bench", "--l-values", "10,20", "--n", "5", "--runs", "1")
+        assert code == (0 if passed else 1)
+        row = out.splitlines()[2].split()
+        assert row[0] == "20" and float(row[3]) == pytest.approx(ratio, abs=0.005)
+        assert row[-1] == ("yes" if passed else "NO")
+        assert "within 4x of linear" in (out.splitlines()[-1] if passed else err)
+
+    def test_one_failing_pair_fails_the_check(self, capsys, monkeypatch):
+        # 10 -> 20 strings doubles the time; 20 -> 40 multiplies it by 16.
+        self.script(monkeypatch, [1.0, 2.0, 32.0])
+        rows, all_within = bench.scaling_table([40, 10, 20], length=5, runs=1)
+        assert [r["n_strings"] for r in rows] == [10, 20, 40]
+        assert [r.get("within_tolerance") for r in rows] == [None, True, False]
+        assert [r["mean_result_len"] for r in rows] == [2.0] * 3
+        assert not all_within
+        self.script(monkeypatch, [1.0, 2.0, 32.0])
+        code, out, err = run(capsys, "bench", "--l-values", "10,20,40", "--n", "5", "--runs", "1")
+        assert code == 1
+        assert [line.split()[-1] for line in out.splitlines()[1:]] == ["-", "yes", "NO"]
+        assert "not within 4x of linear" in err
 
 
 class TestProfileCommand:

@@ -59,7 +59,7 @@ def assert_slots_agree(strs, ws, scanner=None):
 
 
 class TestScanEquivalence:
-    def test_paths_agree_on_random_instances(self):
+    def test_slots_agree_with_contract_on_random_instances(self):
         rng = random.Random(8)
         for case in range(60):
             n_strings = rng.randint(1, 8)
@@ -68,7 +68,7 @@ class TestScanEquivalence:
             )
             assert_slots_agree(strs, common_subsequences_sample(rng, strs))
 
-    def test_paths_agree_with_contract_functions(self):
+    def test_slots_agree_with_contract_on_mcs_prefixes(self):
         rng = random.Random(21)
         for _ in range(25):
             strs = tuple(random_instance(rng, rng.randint(2, 5), 12, 4))
@@ -97,7 +97,7 @@ class TestScanEquivalence:
         strs = (chars + chars[::-1], chars[::-1] + chars)
         assert_slots_agree(strs, list(chars) + [x + y for x in chars for y in chars])
 
-    def test_numpy_path_rejects_non_common_subsequence(self):
+    def test_search_entries_reject_non_common_start(self):
         # The kernel cannot detect a non-common subsequence, so the search
         # entries check a start before scanning it.
         for w in ("XYZ", "PG", "GAPP"):

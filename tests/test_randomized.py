@@ -82,6 +82,8 @@ class TestRandomMCS:
             random_mcs(TOY, weighting="sometimes")
         with pytest.raises(ValueError):
             random_mcs(TOY, seed=-1)
+        with pytest.raises(TypeError):
+            random_mcs(TOY, seed=True)
         with pytest.raises(ValueError):
             random_mcs([])
 

@@ -9,7 +9,7 @@ oracles, reproducible corpus generators, and a wildcard-template
 extractor for string columns, all shared by the ``mcskit`` CLI.
 """
 
-from .deterministic import common_segment, idx_after, idx_before, one_mcs
+from .deterministic import idx_after, idx_before, one_mcs
 from .exact import SizeGuardError, enumerate_mcs, lcs_dp
 from .generate import (
     PlantedSpec,
@@ -62,7 +62,6 @@ __all__ = [
     "alphabet",
     "breakpoints",
     "common_chars",
-    "common_segment",
     "derive_run_seed",
     "enumerate_mcs",
     "extract_pattern",

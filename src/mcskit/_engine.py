@@ -21,7 +21,7 @@ shared character and text character in all. A lookup that finds no c
 left in a string lands in a later string or past the text, beyond the
 string's end, and the kernel cannot tell that miss from a hit. So
 callers pass only common subsequences: ``randomized._searcher`` checks
-``start``, and each character a run adds comes from a bag.
+``start`` before it starts a search, and a run adds only bag characters.
 """
 
 from __future__ import annotations

@@ -28,16 +28,20 @@ from typing import Iterable, Optional
 from ._validation import check_strings
 
 
+def _check_lookup(s: str, c: str, i: int) -> None:
+    if len(c) != 1:
+        raise ValueError(f"expected one character, got {c!r} of length {len(c)}")
+    if not 0 <= i <= len(s):
+        raise ValueError(f"boundary {i} out of range for string of length {len(s)}")
+
+
 def idx_before(s: str, c: str, i: int) -> int:
     """Least boundary j such that ``c`` does not occur in positions j+1..i.
 
     Equals the position of the last occurrence of ``c`` at or before
     position i, or 0 when there is none.
     """
-    if len(c) != 1:
-        raise ValueError(f"expected one character, got {c!r} of length {len(c)}")
-    if not 0 <= i <= len(s):
-        raise ValueError(f"boundary {i} out of range for string of length {len(s)}")
+    _check_lookup(s, c, i)
     return s.rfind(c, 0, i) + 1
 
 
@@ -47,50 +51,25 @@ def idx_after(s: str, c: str, i: int) -> int:
     Equals one less than the position of the first occurrence of ``c``
     after position i, or len(s) when there is none.
     """
-    if len(c) != 1:
-        raise ValueError(f"expected one character, got {c!r} of length {len(c)}")
-    if not 0 <= i <= len(s):
-        raise ValueError(f"boundary {i} out of range for string of length {len(s)}")
+    _check_lookup(s, c, i)
     found = s.find(c, i)
     return found if found >= 0 else len(s)
 
 
-def common_segment(
-    strings: Iterable[str], idx_prev: list[int], idx_rear: list[int]
-) -> Optional[tuple[int, str]]:
-    """First string whose segment's last character occurs in every other
-    string's segment.
-
-    Segments are (idx_prev[j], idx_rear[j]] per string. Returns
-    ``(j, c)`` for the lowest such string index, or None when any
-    segment is empty or no candidate survives.
-    """
-    strs = check_strings(strings)
-    if len(idx_prev) != len(strs) or len(idx_rear) != len(strs):
-        raise ValueError("index vectors must have one entry per string")
-    for s, p, r in zip(strs, idx_prev, idx_rear):
-        for i in (p, r):
-            if not 0 <= i <= len(s):
-                raise ValueError(f"boundary {i} out of range for string of length {len(s)}")
-    found = _shared_end(strs, idx_prev, idx_rear, 1)
-    return None if found is None else found[1:]
-
-
 def _shared_end(
-    strs: tuple[str, ...], idx_prev: list[int], idx_rear: list[int], max_shifts: int
+    strs: tuple[str, ...], idx_prev: list[int], idx_rear: list[int]
 ) -> Optional[tuple[int, int, str]]:
-    """Least shift t < ``max_shifts``, then least string j, at which the
-    last character c of segment j, with every rear lowered by t, occurs
-    in every other segment so lowered. Returns ``(t, j, c)``, or None
-    when a segment empties or the shifts run out first. Does not
-    validate its input.
+    """Least shift t, then least string j, at which the last character c
+    of segment j, with every rear lowered by t, occurs in every other
+    segment so lowered. Returns ``(t, j, c)``, or None when a segment
+    empties first. Does not validate its input.
 
     A character missing from some segment at shift t is missing from it
     at every larger shift, as segments only shrink; such a character is
     dead for the rest of the search and is never tested again.
     """
     dead: set[str] = set()
-    for t in range(min(max_shifts, *(r - p for p, r in zip(idx_prev, idx_rear)))):
+    for t in range(min(r - p for p, r in zip(idx_prev, idx_rear))):
         for j, (s, r) in enumerate(zip(strs, idx_rear)):
             c = s[r - 1 - t]
             if c in dead:
@@ -118,13 +97,12 @@ def one_mcs(strings: Iterable[str], reverse_order: bool = False) -> str:
     # holds the characters right of the cursor, nearest on top, each with
     # the boundary just before its greedy rightmost position per string;
     # the top's boundaries (or the string ends) are the gap's rears.
-    # min(ends) never cuts the search short: no segment outgrows its string.
     w: list[str] = []
     left = [0] * len(strs)
     right: list[tuple[str, list[int]]] = []
     while True:
         rear = right[-1][1] if right else ends
-        found = _shared_end(strs, left, rear, min(ends))
+        found = _shared_end(strs, left, rear)
         if found is not None:
             c = found[2]
             right.append((c, [idx_before(s, c, r) - 1 for s, r in zip(strs, rear)]))

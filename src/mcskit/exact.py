@@ -30,8 +30,8 @@ MAX_ENUM_SHORTEST = 12
 def lcs_dp(strings: Iterable[str]) -> str:
     """One longest common subsequence of up to four strings.
 
-    The table has prod(len(s)) cells, guarded at 10**7; one string or an
-    empty string needs no table and skips that guard. Ties are broken
+    The table has prod(len(s) + 1) cells, guarded at 10**7; one string
+    or an empty string needs no table and skips that guard. Ties are broken
     deterministically by preferring to drop the last character of the
     lowest-indexed string, so repeated calls agree; the length is unique
     even where the string is not.
@@ -45,7 +45,7 @@ def lcs_dp(strings: Iterable[str]) -> str:
         return ""
     if len(strs) == 1:
         return strs[0]
-    cells = math.prod(len(s) for s in strs)
+    cells = math.prod(len(s) + 1 for s in strs)
     if cells > MAX_LCS_CELLS:
         raise SizeGuardError(
             f"lcs_dp table would need {cells} cells (> {MAX_LCS_CELLS}); "
@@ -70,7 +70,7 @@ def _fill_table(strs: tuple[str, ...]) -> np.ndarray:
     maximum per axis computes in place.
     """
     # int16 suffices: a cell is at most the shortest length, and with two
-    # or more strings the cell guard caps that at isqrt(MAX_LCS_CELLS) = 3162.
+    # or more strings the cell guard caps that at isqrt(MAX_LCS_CELLS) - 1 = 3161.
     shape = tuple(len(s) + 1 for s in strs)
     dp = np.zeros(shape, dtype=np.int16)
     others = [code_points(s) for s in strs[1:]]

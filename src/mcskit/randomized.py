@@ -16,7 +16,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from ._engine import BreakpointScanner
 from ._validation import (
@@ -78,25 +78,21 @@ class RunSummary:
 
 
 def _searcher(
-    strings: Iterable[str], seed: int, weighting: str, start: str
-) -> Callable[[Iterable[int]], Iterator[str]]:
-    """Validate the inputs once, build one scanner, and return a function
-    that maps stream seeds to search results, in seed order.
-
-    The function is :meth:`BreakpointScanner.search`, which takes the
-    seeds a batch at a time and runs each batch in lockstep, so a lazy
-    seed iterable stays lazy. The memory held is one batch's plus the
-    scanned subsequences the search keeps, which
+    strings: Iterable[str], seeds: Iterable[int], weighting: str, start: str
+) -> Iterator[str]:
+    """Validate the inputs, build one scanner, and return its search over
+    ``seeds``: :meth:`BreakpointScanner.search`, whose results come in
+    seed order. It takes the seeds a batch at a time and runs each batch
+    in lockstep, so a lazy seed iterable stays lazy. The memory held is
+    one batch's plus the scanned subsequences the search keeps, which
     ``_engine.ROUND_BYTES`` bounds.
     """
     strs = check_strings(strings)
-    check_count(seed, "seed", minimum=0)
     check_weighting(weighting)
     for i, s in enumerate(strs):
         if not is_subsequence(start, s):
             raise ValueError(f"start {start!r} is not a subsequence of string #{i} ({s!r})")
-    scanner = BreakpointScanner(strs)
-    return lambda seeds: scanner.search(seeds, weighting, start)
+    return BreakpointScanner(strs).search(seeds, weighting, start)
 
 
 def random_mcs(
@@ -113,7 +109,8 @@ def random_mcs(
     vacuously maximal). Deterministic given (strings, seed, weighting,
     start).
     """
-    return next(_searcher(strings, seed, weighting, start)([seed]))
+    check_count(seed, "seed", minimum=0)
+    return next(_searcher(strings, [seed], weighting, start))
 
 
 def _seeded_runs(
@@ -124,8 +121,9 @@ def _seeded_runs(
     ``random_mcs(strings, seed=derive_run_seed(master_seed, i), ...)``.
     """
     check_count(runs, "runs")
-    search = _searcher(strings, master_seed, weighting, start)
-    return search(derive_run_seed(master_seed, i) for i in range(runs))
+    check_count(master_seed, "seed", minimum=0)
+    seeds = (derive_run_seed(master_seed, i) for i in range(runs))
+    return _searcher(strings, seeds, weighting, start)
 
 
 def run_many(

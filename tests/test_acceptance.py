@@ -112,7 +112,12 @@ def test_linear_scaling_in_string_count():
     two of ten times the median at 100 strings (fixed length 60)."""
     rows, ok = scaling_table([100, 1_000], length=60, alphabet_size=4, runs=25, seed=0)
     ratio = rows[1]["ratio"]
-    assert ok and 5.0 <= ratio <= 20.0, f"ratio {ratio:.2f} outside [5, 20]"
+    sizes = "; ".join(
+        f"L={r['n_strings']}: median {r['median_seconds'] * 1e3:.3f} ms, "
+        f"mean m {r['mean_result_len']:.2f}"
+        for r in rows
+    )
+    assert ok and 5.0 <= ratio <= 20.0, f"ratio {ratio:.2f} outside [5, 20] ({sizes})"
 
 
 def test_planted_corpus_study():

@@ -1,5 +1,5 @@
-"""Deterministic solver: index primitives, segment search, and the full
-construction against the maximality oracle."""
+"""Deterministic solver: index primitives, shared-end search, and the
+full construction against the maximality oracle."""
 
 import hashlib
 import random
@@ -9,7 +9,6 @@ import time
 import pytest
 
 from mcskit import (
-    common_segment,
     idx_after,
     idx_before,
     is_maximal,
@@ -63,7 +62,7 @@ class TestIndexPrimitives:
                 assert c not in s[i:]
 
 
-def brute_common_segment(strs, idx_prev, idx_rear):
+def brute_unshifted_end(strs, idx_prev, idx_rear):
     """Oracle: literal candidate-by-candidate segment intersection."""
     segments = [s[p:r] for s, p, r in zip(strs, idx_prev, idx_rear)]
     if any(not seg for seg in segments):
@@ -76,32 +75,23 @@ def brute_common_segment(strs, idx_prev, idx_rear):
 
 
 class TestCommonSegment:
+    """Shift 0 of _shared_end: wherever brute_unshifted_end finds (j, c),
+    _shared_end returns (0, j, c)."""
+
     def test_whole_string_segments_find_shared_character(self):
-        got = common_segment(["TEGAP", "GAEPR"], [0, 0], [5, 5])
-        assert got is not None
-        j, c = got
-        assert c in set("EGAP")
-        assert got == brute_common_segment(["TEGAP", "GAEPR"], [0, 0], [5, 5])
+        got = _shared_end(("TEGAP", "GAEPR"), [0, 0], [5, 5])
+        assert got is not None and got[2] in set("EGAP")
+        assert got == (0, *brute_unshifted_end(["TEGAP", "GAEPR"], [0, 0], [5, 5]))
 
     def test_empty_segments_yield_none(self):
-        assert common_segment(["TEGAP", "GAEPR"], [3, 3], [3, 3]) is None
-        assert common_segment(["AB", "BA"], [1, 1], [1, 1]) is None
+        assert _shared_end(("TEGAP", "GAEPR"), [3, 3], [3, 3]) is None
+        assert _shared_end(("AB", "BA"), [1, 1], [1, 1]) is None
+        # Overlapping boundaries make an empty segment.
+        assert _shared_end(("ab", "ba"), [2, 1], [1, 1]) is None
 
     def test_two_char_strings(self):
-        got = common_segment(["AB", "BA"], [0, 0], [2, 2])
-        assert got is not None and got[1] in "AB"
-
-    def test_vector_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            common_segment(["AB", "BA"], [0], [2, 2])
-
-    def test_out_of_range_boundaries_rejected(self):
-        with pytest.raises(ValueError):
-            common_segment(["ab", "ba"], [-1, -1], [0, 0])
-        with pytest.raises(ValueError):
-            common_segment(["ab", "ba"], [0, 0], [3, 2])
-        # In range but overlapping: an empty segment, not an error.
-        assert common_segment(["ab", "ba"], [2, 1], [1, 1]) is None
+        got = _shared_end(("AB", "BA"), [0, 0], [2, 2])
+        assert got is not None and got[0] == 0 and got[2] in "AB"
 
     def test_agrees_with_brute_force_on_random_states(self, rng):
         for _ in range(400):
@@ -111,17 +101,20 @@ class TestCommonSegment:
                 p = rng.randint(0, len(s))
                 idx_prev.append(p)
                 idx_rear.append(rng.randint(p, len(s)))
-            assert common_segment(strs, idx_prev, idx_rear) == brute_common_segment(
-                strs, idx_prev, idx_rear
-            )
+            got = _shared_end(strs, idx_prev, idx_rear)
+            want = brute_unshifted_end(strs, idx_prev, idx_rear)
+            if want is None:
+                assert got is None or got[0] > 0
+            else:
+                assert got == (0, *want)
 
 
 def brute_shared_end(strs, idx_prev, idx_rear):
-    """Oracle: lower every rear by one until brute_common_segment finds a
+    """Oracle: lower every rear by one until brute_unshifted_end finds a
     candidate or a segment empties."""
     t = 0
     while all(p < r - t for p, r in zip(idx_prev, idx_rear)):
-        found = brute_common_segment(strs, idx_prev, [r - t for r in idx_rear])
+        found = brute_unshifted_end(strs, idx_prev, [r - t for r in idx_rear])
         if found is not None:
             return (t, *found)
         t += 1
@@ -144,7 +137,7 @@ class TestSharedEnd:
                 rng.choice([len(s), rng.randint(p, len(s))]) for s, p in zip(strs, idx_prev)
             ]
             want = brute_shared_end(strs, idx_prev, idx_rear)
-            assert _shared_end(strs, idx_prev, idx_rear, 17) == want
+            assert _shared_end(strs, idx_prev, idx_rear) == want
             outcomes["none" if want is None else "t>0" if want[0] else "t=0"] += 1
         assert min(outcomes.values()) >= 20, outcomes
 
@@ -153,10 +146,7 @@ class TestSharedEnd:
         # shift 1 it ends segment 0 again and is skipped as dead.
         strs = ("cxaxx", "cyay")
         assert brute_shared_end(strs, [0, 0], [5, 4]) == (1, 1, "a")
-        assert _shared_end(strs, [0, 0], [5, 4], 5) == (1, 1, "a")
-        # common_segment tries shift 0 only.
-        assert _shared_end(strs, [0, 0], [5, 4], 1) is None
-        assert common_segment(strs, [0, 0], [5, 4]) is None
+        assert _shared_end(strs, [0, 0], [5, 4]) == (1, 1, "a")
 
 
 def _digest(outputs):

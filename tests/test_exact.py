@@ -117,10 +117,16 @@ class TestLcsDp:
         long = "x" * (MAX_LCS_CELLS + 1)
         assert lcs_dp([long]) == long
 
+    def test_short_strings_count_toward_the_guard(self):
+        # The table has a row of boundaries per string, so three
+        # one-character strings multiply the long string's cells by 8.
+        with pytest.raises(SizeGuardError):
+            lcs_dp(["a", "b", "c", "x" * (MAX_LCS_CELLS // 8 + 1)])
+
     def test_largest_value_under_the_guard(self):
-        # The cell guard caps two strings at 3162 characters each, so this
+        # The cell guard caps two strings at 3161 characters each, so this
         # is the largest value the table can ever hold.
-        side = math.isqrt(MAX_LCS_CELLS)
+        side = math.isqrt(MAX_LCS_CELLS) - 1
         assert lcs_dp(["a" * side, "a" * side]) == "a" * side
         with pytest.raises(SizeGuardError):
             lcs_dp(["a" * side, "a" * (side + 1)])

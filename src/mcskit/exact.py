@@ -2,18 +2,20 @@
 subsequence and exhaustive enumeration of all maximal common
 subsequences.
 
-Both blow up quickly (the DP table is the product of the string
-lengths; enumeration is exponential in the shortest string), so both
-refuse oversized inputs instead of hanging. They serve as ground truth
-for the randomized search and back the ``lcs`` CLI command.
+Both refuse oversized inputs instead of hanging. ``lcs_dp`` is guarded
+by the product of the string lengths plus one, the cells a dense DP
+table would need, although its contour fill keeps one entry per LCS
+value rather than one per prefix of the longest string; enumeration is
+exponential in the shortest string. They serve as ground truth for the
+randomized search and back the ``lcs`` CLI command.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
+from collections import Counter
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -30,11 +32,15 @@ MAX_ENUM_SHORTEST = 12
 def lcs_dp(strings: Iterable[str]) -> str:
     """One longest common subsequence of up to four strings.
 
-    The table has prod(len(s) + 1) cells, guarded at 10**7; one string
-    or an empty string needs no table and skips that guard. Ties are broken
-    deterministically by preferring to drop the last character of the
-    lowest-indexed string, so repeated calls agree; the length is unique
-    even where the string is not.
+    The guard counts the prod(len(s) + 1) cells of the dense DP table and
+    caps them at 10**7; one string or an empty string needs no table and
+    skips it. The fill loops over the shortest string and keeps, per LCS
+    value, the least prefix of the longest string that reaches it (see
+    ``_fill_table``), so it stores and scans far fewer entries than the
+    guard counts. Ties are broken deterministically by preferring to drop
+    the last character of the lowest-indexed string, so repeated calls
+    agree whatever the roles; the length is unique even where the string
+    is not.
     """
     strs = check_strings(strings)
     if len(strs) > MAX_LCS_STRINGS:
@@ -52,60 +58,126 @@ def lcs_dp(strings: Iterable[str]) -> str:
             "use the randomized search instead"
         )
 
-    dp = _fill_table(strs)
-    return _backtrack(strs, dp)
+    return _backtrack(strs, _fill_table(strs))
 
 
-def _fill_table(strs: tuple[str, ...]) -> np.ndarray:
-    """Forward DP pass, one vectorized step per character of the first string.
+def _fill_table(strs: tuple[str, ...]) -> tuple[list[int], list[np.ndarray]]:
+    """Forward DP pass on contours, one vectorized step per loop character.
 
-    Recurrence: a cell is the max over dropping the last character of
-    any one string, plus the diagonal extension when all last characters
-    agree. Slice ``dp[i]`` holds the cells whose first-string prefix has
-    length i, and follows from ``dp[i - 1]`` alone. Each cell first takes
-    the larger of the same cell in ``dp[i - 1]`` and the diagonal
-    extension where every other string's last character is
-    ``strs[0][i - 1]``. Dropping characters of the other strings then
-    unrolls to a prefix maximum over the dominated box, which one running
-    maximum per axis computes in place.
+    Roles: the loop string is the shortest, the contour string the
+    longest, and the strings between are the dense *middle* axes. ``rows[i][J + (v,)]`` is the least prefix length k of the
+    contour string such that the LCS of the loop string's first i
+    characters, the middles' prefixes J and the contour's first k
+    characters is at least v, or ``len(contour) + 1`` where none is.
+    Row i keeps the columns v up to the LCS of its prefixes, so the table
+    holds one entry per LCS value instead of one per contour prefix.
+
+    Step i with character c: where every middle's J-th character is c,
+    the diagonal reaches v at the first c in the contour after
+    ``rows[i - 1][J - 1][v - 1]``. Dropping middle characters unrolls to a
+    prefix minimum over the dominated box, one running minimum per middle
+    axis, and the row is the smaller of that and ``rows[i - 1]``. A
+    character missing from a middle or the contour reuses the last row.
     """
-    # int16 suffices: a cell is at most the shortest length, and with two
-    # or more strings the cell guard caps that at isqrt(MAX_LCS_CELLS) - 1 = 3161.
-    shape = tuple(len(s) + 1 for s in strs)
-    dp = np.zeros(shape, dtype=np.int16)
-    others = [code_points(s) for s in strs[1:]]
-    inner = (slice(1, None),) * len(others)
-    diag = (slice(None, -1),) * len(others)
+    roles = sorted(range(len(strs)), key=lambda t: len(strs[t]))
+    loop, *middles, contour = (code_points(strs[t]) for t in roles)
+    end = len(contour) + 1
+    # Entries are contour prefix lengths or the sentinel len(contour) + 1,
+    # so int16 holds them while the sentinel stays below 32,768.
+    dtype = np.int16 if end <= np.iinfo(np.int16).max else np.int32
+    loop = loop.tolist()
+    steps = {}
+    for c, uses in Counter(loop).items():
+        # Each middle's positions of c are where J - 1 reads, and the J
+        # that match c split its axis into blocks that share a minimum.
+        prev = [np.flatnonzero(m == c) for m in middles]
+        after = _next_after(contour, c, dtype, dense=uses >= 4)
+        if after is not None and all(p.size for p in prev):
+            blocks = [np.diff(p + 1, prepend=0, append=len(m) + 1) for p, m in zip(prev, middles)]
+            steps[c] = (after, np.ix_(*prev), blocks, tuple(b.size for b in blocks))
+    row = np.zeros(tuple(len(m) + 1 for m in middles) + (1,), dtype=dtype)
+    rows = [row]
+    inner, corner = (slice(1, None),) * row.ndim, (-1,) * row.ndim
+    for c in loop:
+        step = steps.get(c)
+        if step is None:
+            rows.append(row)
+            continue
+        after, src, blocks, grid = step
+        width = row.shape[-1]
+        # The candidates on the grid of matching J, behind a sentinel slab
+        # that stands for the J before the first match on each axis.
+        cand = np.empty(grid + (width + 1,), dtype=dtype)
+        cand.fill(end)
+        cand[inner] = after(row[src])
+        for axis in range(len(blocks)):
+            np.minimum.accumulate(cand, axis=axis, out=cand)
+        for axis, block in enumerate(blocks):
+            cand = cand.repeat(block, axis=axis)
+        head = cand[..., :width]
+        np.minimum(head, row, out=head)
+        # The whole-prefix corner holds each column's least entry.
+        row = cand if cand[corner] < end else head
+        rows.append(row)
+    return roles, rows
 
-    for i, c in enumerate(code_points(strs[0]), 1):
-        match = reduce(np.logical_and.outer, [cp == c for cp in others])
-        prev, cur = dp[i - 1], dp[i][inner]
-        # The table is non-decreasing along every axis, so off the matches
-        # the diagonal never beats the cell itself: adding the boolean
-        # mask yields the extension exactly where it applies.
-        np.add(prev[diag], match, out=cur)
-        np.maximum(cur, prev[inner], out=cur)
-        for axis in range(len(others)):
-            np.maximum.accumulate(cur, axis=axis, out=cur)
-    return dp
+
+def _next_after(contour: np.ndarray, c: int, dtype: type, dense: bool) -> Callable | None:
+    """Map contour prefix lengths x to the least k > x with
+    ``contour[k - 1] == c``, or to ``len(contour) + 1`` where none is.
+
+    None where c does not occur. A dense map takes one lookup per entry
+    and holds ``len(contour) + 2`` of them; the fill builds one only for
+    characters the loop string repeats at least four times, so all of
+    them together hold under a quarter as many entries as the dense DP
+    table has cells. Other characters binary-search their positions.
+    """
+    (at,) = (contour == c).nonzero()
+    if not at.size:
+        return None
+    occ = np.empty(at.size + 1, dtype=dtype)
+    np.add(at, 1, out=occ[:-1], casting="unsafe")
+    occ[-1] = len(contour) + 1
+    if dense:
+        # Positions x in [occ[j - 1], occ[j]) map to occ[j]; the sentinel
+        # maps to itself.
+        span = np.diff(occ, prepend=0)
+        span[-1] += 1
+        return np.repeat(occ, span).take
+    keys = occ[:-1]
+    return lambda x: occ.take(keys.searchsorted(x, "right"))
 
 
-def _backtrack(strs: tuple[str, ...], dp: np.ndarray) -> str:
+def _backtrack(strs: tuple[str, ...], table: tuple[list[int], list[np.ndarray]]) -> str:
+    roles, rows = table
+    rank = [roles.index(d) for d in range(len(strs))]
+    widths = [row.shape[-1] for row in rows]
+    # Prefix lengths in role order: loop, middles, contour (the last).
+    idx = [len(strs[t]) for t in roles]
     out = []
-    idx = [len(s) for s in strs]
-    while dp[tuple(idx)]:
-        here = int(dp[tuple(idx)])
-        for d in range(len(strs)):
-            if idx[d] > 0:
-                idx[d] -= 1
-                if int(dp[tuple(idx)]) == here:
+    here = widths[-1] - 1
+    last = len(strs) - 1
+    while here:
+        for r in rank:
+            if idx[r] > 0:
+                idx[r] -= 1
+                # Dropping a character never raises the LCS, so it keeps
+                # the value iff the prefixes still reach it.
+                i, *mid, k = idx
+                if here < widths[i] and (least := rows[i].item(*mid, here)) <= k:
+                    if r == last:
+                        # Each string tried before the contour failed and
+                        # still fails on the dominated prefixes below, so
+                        # the contour drops on to the least reaching prefix.
+                        idx[r] = least
                     break
-                idx[d] += 1
+                idx[r] += 1
         else:
             # No single drop preserves the value, so every last character
             # matches and the optimum extends the diagonal.
-            out.append(strs[0][idx[0] - 1])
+            out.append(strs[0][idx[rank[0]] - 1])
             idx = [i - 1 for i in idx]
+            here -= 1
     out.reverse()
     return "".join(out)
 

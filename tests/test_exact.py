@@ -1,9 +1,14 @@
 """Exact oracles against classical references and each other."""
 
 import hashlib
+import itertools
 import math
 import random
+import time
+import tracemalloc
+from functools import reduce
 
+import numpy as np
 import pytest
 
 from mcskit import (
@@ -14,6 +19,7 @@ from mcskit import (
     lcs_dp,
     random_strings,
 )
+from mcskit._engine import code_points
 from mcskit.exact import MAX_LCS_CELLS
 from tests.conftest import random_instance
 
@@ -27,6 +33,45 @@ def classic_lcs_len(a, b):
             cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
         prev = cur
     return prev[-1]
+
+
+def reference_lcs(strs):
+    """The dense DP table fill and backtrack, as an oracle for ``lcs_dp``.
+
+    It fills one int16 cell per tuple of prefix lengths, one slice per
+    character of ``strs[0]``: the diagonal extension where every other
+    string's last character matches, the same cell one slice back, then
+    one running maximum per other axis. The backtrack tries the drops in
+    string order and takes the diagonal when none keeps the value, which
+    is the tie-break ``lcs_dp`` promises.
+    """
+    if any(not s for s in strs):
+        return ""
+    dp = np.zeros([len(s) + 1 for s in strs], dtype=np.int16)
+    others = [code_points(s) for s in strs[1:]]
+    inner = (slice(1, None),) * len(others)
+    diag = (slice(None, -1),) * len(others)
+    for i, c in enumerate(code_points(strs[0]), 1):
+        match = reduce(np.logical_and.outer, [cp == c for cp in others])
+        prev, cur = dp[i - 1], dp[i][inner]
+        np.add(prev[diag], match, out=cur)
+        np.maximum(cur, prev[inner], out=cur)
+        for axis in range(len(others)):
+            np.maximum.accumulate(cur, axis=axis, out=cur)
+    out = []
+    idx = [len(s) for s in strs]
+    while dp[tuple(idx)]:
+        here = dp[tuple(idx)]
+        for d in range(len(strs)):
+            if idx[d] > 0:
+                idx[d] -= 1
+                if dp[tuple(idx)] == here:
+                    break
+                idx[d] += 1
+        else:
+            out.append(strs[0][idx[0] - 1])
+            idx = [i - 1 for i in idx]
+    return "".join(reversed(out))
 
 
 def _digest(outputs):
@@ -63,6 +108,28 @@ PINNED_LCS = {
     "L4": "f82624fa13730c48",
     "non_ascii": "502eccb85d0d5ff2",
     "3x200": "GASLODCTJAPEHDAEOBHQPKJPCTOKEQIQEOKPBIFIRQTAI",
+}
+
+# Contour strings (the longest but the shortest) past 32,767 characters,
+# so their prefix lengths need int32. Outputs recorded from the dense DP,
+# for every order of the strings.
+WIDE_SETS = {
+    "L2": ["ab" * 20, "x" * 40_000 + "ba" * 20],
+    "L3": [
+        "bbbccccbbcaaccbcacccabacaabbbcaaacbabaac",
+        "x" * 40_000 + "ccacccaacaaaccccaccaaaaabbbbacbcabbcccbc",
+        "bcaba",
+    ],
+}
+PINNED_WIDE = {
+    "L2 01": "abababababababababababababababababababa",
+    "L2 10": "bababababababababababababababababababab",
+    "L3 012": "bcba",
+    "L3 021": "bcba",
+    "L3 102": "caba",
+    "L3 120": "caba",
+    "L3 201": "bcab",
+    "L3 210": "bcab",
 }
 
 
@@ -140,6 +207,54 @@ class TestLcsDp:
             "3x200": lcs_dp(random_strings(3, 200, 20, seed=5)),
         }
         assert got == PINNED_LCS
+
+    def test_contour_past_int16_pinned(self):
+        got = {
+            f"{name} {''.join(map(str, order))}": lcs_dp([strs[t] for t in order])
+            for name, strs in WIDE_SETS.items()
+            for order in itertools.permutations(range(len(strs)))
+        }
+        assert got == PINNED_WIDE
+
+    def test_matches_dense_reference_on_seeded_sets(self):
+        # Tie-heavy and non-ASCII sets, with the shortest string moved to
+        # the front, the middle and the back of each.
+        rng = random.Random(23)
+        chars = "ab\u00e9\U0001f600\ud800c"
+        checked = 0
+        for n_strings, max_len in ((2, 40), (3, 16), (4, 9), (2, 120), (3, 40)):
+            for _ in range(40):
+                sigma = rng.randint(1, len(chars))
+                strs = [
+                    "".join(rng.choice(chars[:sigma]) for _ in range(rng.randint(1, max_len)))
+                    for _ in range(n_strings)
+                ]
+                shortest = strs.pop(strs.index(min(strs, key=len)))
+                for at in sorted({0, n_strings // 2, n_strings - 1}):
+                    case = strs[:at] + [shortest] + strs[at:]
+                    assert lcs_dp(case) == reference_lcs(case), case
+                    checked += 1
+        assert checked == 520
+
+    def test_shortest_string_sets_the_loop(self):
+        # 9,000,003 cells pass the guard; the loop runs over "ab" in
+        # either order, also where every long-string character is shared.
+        for long, want in (("x" * 3_000_000, ""), ("ab" * 1_500_000, "ab")):
+            for strs in ([long, "ab"], ["ab", long]):
+                start = time.perf_counter()
+                assert lcs_dp(strs) == want
+                assert time.perf_counter() - start < 2.0
+
+    def test_peak_memory_under_the_dense_table(self):
+        strs = random_strings(3, 200, 20, seed=5)
+        dense_bytes = 2 * math.prod(len(s) + 1 for s in strs)
+        tracemalloc.start()
+        try:
+            lcs_dp(strs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
 
 
 class TestEnumerateMcs:

@@ -3,16 +3,17 @@
 :class:`BreakpointScanner` holds all three layers for one string set.
 Its constructor builds numpy occurrence tables, capped by
 :data:`MAX_TABLE_BYTES`. :meth:`BreakpointScanner.slots` takes R common
-subsequences of one length and scans every slot of each over every
-string at once, one flat ``take`` a step over all R x L cursors; the
-tests compare its slots and bags with the contract primitives in
-:mod:`mcskit.subsequence`. :meth:`BreakpointScanner.search` advances
-batches of seeded runs in lockstep through it, one call a round, and
-keeps what each call found for the rest of the search, so repeated runs
-scan each distinct subsequence once. Only characters common to every
-string can ever appear in a bag, so the tables cover just those
-characters. :data:`ROUND_BYTES` sizes the batch and the count gather,
-and bounds what a search keeps.
+subsequences of one length, scans every slot of each over every string
+at once, one flat ``take`` a step over all R x L cursors, and answers
+per subsequence: its live slots and their bags. The tests compare those
+with the contract primitives in :mod:`mcskit.subsequence`.
+:meth:`BreakpointScanner.search` advances batches of seeded runs in
+lockstep through it, one call a round, and keeps each subsequence's
+answer for the rest of the search, so repeated runs scan each distinct
+subsequence once. Only characters common to every string can ever
+appear in a bag, so the tables cover just those characters.
+:data:`ROUND_BYTES` sizes the batch and the count gather, and bounds
+what a search keeps.
 
 The strings lie end to end in one text of n characters; boundary i of
 ``strings[l]`` is offset ``starts[l] + i``. Each table has one row per
@@ -26,7 +27,6 @@ callers pass only common subsequences: ``randomized._searcher`` checks
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import islice
 from random import Random
 from typing import Iterable, Iterator
@@ -131,14 +131,14 @@ class BreakpointScanner:
         self.batch = max(1, ROUND_BYTES // per_run)
         self._piece = max(1, ROUND_BYTES // (12 * len(strings) * max(len(shared), 1)))
 
-    def slots(self, ws: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    def slots(self, ws: list[str]) -> list[tuple[list[int], np.ndarray]]:
         """Live slots of R common subsequences ``ws`` of one length m.
 
-        Returns ``(cell, counts)`` over the P live slots, ordered by
-        subsequence and then by slot: ``cell`` is ``j * (m + 1) + slot``
-        for ``ws[j]``, and row p of the P x sigma matrix ``counts`` is slot
-        p's bag, the minimum count of each shared character over its middle
-        substrings.
+        Returns one ``(ks, bags)`` pair per subsequence, in ``ws`` order:
+        ``ks`` lists its live slots in ascending order, and row p of the
+        ``len(ks)`` x sigma matrix ``bags`` is slot ``ks[p]``'s bag, the
+        minimum count of each shared character over its middle substrings.
+        A subsequence with no live slot gets ``[]`` and a 0 x sigma matrix.
         """
         r, n_str, m = len(ws), self._bounds.shape[2], len(ws[0])
         # The table rows the greedy embeddings read: forward each w's
@@ -179,7 +179,12 @@ class BreakpointScanner:
             gathered = self._cum.take(at, axis=0)
             np.minimum.reduce(gathered[1] - gathered[0], axis=0, out=counts[a : a + self._piece])
         live = np.logical_or.reduce(counts, axis=1).nonzero()[0]
-        return cand.take(live), counts.take(live, axis=0)
+        # Cell j * (m + 1) + k is slot k of ws[j]. Cells ascend, so ws[j]'s
+        # live slots end at cuts[j], where cell (j + 1) * (m + 1) would go.
+        cell = cand.take(live)
+        cuts = cell.searchsorted(np.arange(m + 1, r * (m + 1) + 1, m + 1)).tolist()
+        ks, bags = (cell % (m + 1)).tolist(), counts.take(live, axis=0)
+        return [(ks[a:b], bags[a:b]) for a, b in zip([0, *cuts], cuts)]
 
     def search(self, seeds: Iterable[int], weighting: str, start: str) -> Iterator[str]:
         """Results of the runs seeded by ``seeds``, in seed order.
@@ -195,13 +200,12 @@ class BreakpointScanner:
         The live slots of a subsequence depend on nothing else, and
         repeated runs keep reaching the same ones, so a round passes
         :meth:`slots` only the distinct subsequences this search has not
-        scanned yet. Later batches of the search reuse what a scan found
-        until the kept counts, cells and entries would pass
-        :data:`ROUND_BYTES`; none is dropped. A batch short of full is
+        scanned yet. Later batches of the search reuse each subsequence's
+        slots and bags until the kept bag rows, slots and entries would
+        pass :data:`ROUND_BYTES`; none is dropped. A batch short of full is
         the last, so it keeps nothing.
         """
-        # seen[w]: where w's live slots lie in the slots result that scanned
-        # it, (cells, counts, lo, hi): entries lo .. hi - 1 of both.
+        # seen[w]: w's live slots and their bags, as slots returned them.
         seen, held = {}, 0
         seeds = iter(seeds)
         while batch := list(islice(seeds, self.batch)):
@@ -214,36 +218,28 @@ class BreakpointScanner:
             while active:
                 # Runs at one subsequence share its scan.
                 fresh = {w: None for _, w in active if w not in seen}
-                found = {}
-                if fresh:
-                    cell, counts = self.slots(list(fresh))
-                    # Fresh subsequence j's live slots are cells j * (m + 1) .. j * (m + 1) + m.
-                    cells = cell.tolist()
-                    lo = 0
-                    for j, w in enumerate(fresh):
-                        hi = bisect_left(cells, (j + 1) * (m + 1), lo)
-                        found[w] = (cells, counts, lo, hi)
-                        lo = hi
-                    # A cell costs a list slot and an int; an entry its
-                    # tuple, its dict slot and its key.
-                    size = counts.nbytes + 36 * len(cells) + (200 + 4 * m) * len(found)
-                    if keep and held + size <= ROUND_BYTES:
+                found = dict(zip(fresh, self.slots(list(fresh)))) if fresh else {}
+                if keep and found:
+                    # A slot costs its bag row, a list slot and an int; an entry its
+                    # tuple, list, matrix view, dict slot and key.
+                    size = sum(b.nbytes + 36 * len(ks) + 400 + 4 * m for ks, b in found.values())
+                    if held + size <= ROUND_BYTES:
                         seen.update(found)
                         held += size
                 moving = []
                 for run in active:
                     rng, w = run
-                    cells, counts, lo, hi = found.get(w) or seen[w]
-                    if hi == lo:
+                    ks, bags = found.get(w) or seen[w]
+                    if not ks:
                         continue
-                    p = lo + rng.randrange(hi - lo)
-                    bag = counts[p].tolist()
+                    p = rng.randrange(len(ks))
+                    bag = bags[p].tolist()
                     chars = [c for c, n in enumerate(bag) if n]
                     if weighting == UNIFORM:
                         c = chars[rng.randrange(len(chars))]
                     else:
                         c = rng.choices(chars, weights=[n for n in bag if n])[0]
-                    k = cells[p] % (m + 1)
+                    k = ks[p]
                     run[1] = w[:k] + self.alphabet[c] + w[k:]
                     moving.append(run)
                 active = moving

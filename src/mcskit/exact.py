@@ -65,10 +65,11 @@ def _fill_table(strs: tuple[str, ...]) -> tuple[list[int], list[np.ndarray]]:
     """Forward DP pass on contours, one vectorized step per loop character.
 
     Roles: the loop string is the shortest, the contour string the
-    longest, and the strings between are the dense *middle* axes. ``rows[i][J + (v,)]`` is the least prefix length k of the
-    contour string such that the LCS of the loop string's first i
-    characters, the middles' prefixes J and the contour's first k
-    characters is at least v, or ``len(contour) + 1`` where none is.
+    longest, and the strings between are the dense *middle* axes.
+    ``rows[i][J + (v,)]`` is the least prefix length k of the contour
+    string such that the LCS of the loop string's first i characters, the
+    middles' prefixes J and the contour's first k characters is at least
+    v, or ``len(contour) + 1`` where none is.
     Row i keeps the columns v up to the LCS of its prefixes, so the table
     holds one entry per LCS value instead of one per contour prefix.
 

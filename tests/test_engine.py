@@ -33,16 +33,15 @@ def contract_scan(strs, w):
 
 def slot_scan(scanner, ws):
     """One ``slots`` call on the common subsequences ``ws``, all of one
-    length m, split back into one (slot, bag) list per subsequence: cell
-    ``j * (m + 1) + k`` is slot k of ``ws[j]``, and column c of ``counts``
-    counts ``alphabet[c]``."""
-    m = len(ws[0])
-    cell, counts = scanner.slots(ws)
-    assert counts.shape == (len(cell), len(scanner.alphabet))
-    out = [[] for _ in ws]
-    for at, col in zip(cell.tolist(), counts.tolist()):
-        j, k = divmod(at, m + 1)
-        out[j].append((k, {scanner.alphabet[c]: n for c, n in enumerate(col) if n}))
+    length, as one (slot, bag) list per subsequence: column c of a
+    subsequence's bags counts ``alphabet[c]``."""
+    out = []
+    for ks, bags in scanner.slots(ws):
+        assert bags.shape == (len(ks), len(scanner.alphabet))
+        out.append([
+            (k, {scanner.alphabet[c]: n for c, n in enumerate(row) if n})
+            for k, row in zip(ks, bags.tolist())
+        ])
     return out
 
 
@@ -54,7 +53,7 @@ def assert_slots_agree(strs, ws, scanner=None):
     for w in ws:
         groups.setdefault(len(w), []).append(w)
     for group in groups.values():
-        for w, got in zip(group, slot_scan(scanner, group)):
+        for w, got in zip(group, slot_scan(scanner, group), strict=True):
             assert got == contract_scan(strs, w), (strs, w, group)
 
 
@@ -67,6 +66,15 @@ class TestScanEquivalence:
                 random_instance(rng, n_strings, rng.randint(1, 25), rng.randint(2, 6), min_len=0)
             )
             assert_slots_agree(strs, common_subsequences_sample(rng, strs))
+
+    def test_empty_entry_keeps_its_place(self):
+        # EP is maximal, so it has no live slot: its empty entry sits in the
+        # middle of the first call and last in the second.
+        strs = ("TEGAP", "GAEPR")
+        scanner = BreakpointScanner(strs)
+        expected = {"GA": [(2, {"P": 1})], "EP": [], "AP": [(0, {"G": 1})]}
+        for ws in (["GA", "EP", "AP"], ["GA", "AP", "EP"]):
+            assert slot_scan(scanner, ws) == [expected[w] for w in ws]
 
     def test_slots_agree_with_contract_on_mcs_prefixes(self):
         rng = random.Random(21)

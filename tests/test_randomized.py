@@ -2,7 +2,10 @@
 run-count and probability bounds."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -335,6 +338,36 @@ class TestScanMemo:
         assert len(scanned) == len(states) < rounds
         assert set(scanned) == states
         assert kept == unkept
+
+
+# Outputs of every seeded entry point, printed in their own order. The
+# scan memo and each round's dedup are dicts keyed by subsequence, so a
+# result that followed str hashing would change with PYTHONHASHSEED.
+HASH_SCRIPT = r"""
+from mcskit import extract_pattern, lcs_dp, one_mcs, random_strings, run_many
+dates = [f"2015-{m:02d}-{d:02d}" for m in range(1, 13) for d in range(1, 29)]
+mixed = ["ab\u00e9\U0001f600ba\u00e9", "\U0001f600ba\u00e9ab", "b\u00e9a\U0001f600ab"]
+sets = [random_strings(4, 30, 6, seed=3), dates, mixed]
+for strs in sets:
+    for weighting in ("uniform", "frequency"):
+        print(list(run_many(strs, 400, 5, weighting).counts.items()))
+        print(list(run_many(strs, 400, 5, weighting, start=one_mcs(strs)[:2]).counts.items()))
+    print(one_mcs(strs), one_mcs(strs, reverse_order=True), lcs_dp(strs[:3]))
+print(extract_pattern(dates, runs=50, seed=2).render())
+"""
+
+
+def test_outputs_do_not_depend_on_str_hashing():
+    src = os.path.dirname(os.path.dirname(randomized.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path, PYTHONIOENCODING="utf-8")
+        done = subprocess.run([sys.executable, "-c", HASH_SCRIPT], env=env, capture_output=True,
+                              encoding="utf-8", timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestScannerGuard:

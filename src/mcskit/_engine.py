@@ -213,16 +213,18 @@ class BreakpointScanner:
             # reach a subsequence this one scanned.
             keep = len(batch) == self.batch
             # A run is [rng, subsequence].
-            runs = [[Random(s), start] for s in batch]
-            active, m = runs, len(start)
+            active = runs = [[Random(s), start] for s in batch]
             while active:
                 # Runs at one subsequence share its scan.
                 fresh = {w: None for _, w in active if w not in seen}
                 found = dict(zip(fresh, self.slots(list(fresh)))) if fresh else {}
                 if keep and found:
-                    # A slot costs its bag row, a list slot and an int; an entry its
-                    # tuple, list, matrix view, dict slot and key.
-                    size = sum(b.nbytes + 36 * len(ks) + 400 + 4 * m for ks, b in found.values())
+                    # Sizes as sys.getsizeof reads them: 128 for the round's bag matrix;
+                    # per entry its bag rows, 8 a slot (36 in a key past 256, whose slot
+                    # indices pass the cached ints), 56 + 56 + 128 for its tuple, list and
+                    # view, 76 + 4 a character for its key, and 48 for its dict slot.
+                    size = 128 + sum(b.nbytes + (8 if len(w) <= 256 else 36) * len(ks) + 364
+                                     + 4 * len(w) for w, (ks, b) in found.items())
                     if held + size <= ROUND_BYTES:
                         seen.update(found)
                         held += size
@@ -243,6 +245,5 @@ class BreakpointScanner:
                     run[1] = w[:k] + self.alphabet[c] + w[k:]
                     moving.append(run)
                 active = moving
-                m += 1
             for _, w in runs:
                 yield w

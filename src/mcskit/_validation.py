@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Iterable
 
 UNIFORM = "uniform"
@@ -46,6 +47,8 @@ def check_count(value: int, name: str, minimum: int = 1) -> int:
 
 def check_unit_open(value: float, name: str) -> float:
     """Validate a probability strictly inside (0, 1)."""
+    if not isinstance(value, Real):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     value = float(value)
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")

@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("one-mcs", help="deterministic single maximal common subsequence")
     _add_input(p)
-    p.add_argument("--reverse-order", action="store_true", help="scan strings in reverse order")
+    p.add_argument("--reverse-order", action="store_true", dest="reversed", help="scan strings in reverse order")
     p.set_defaults(func=_cmd_one_mcs)
 
     p = sub.add_parser("estimate", help="occurrence probabilities over repeated runs (JSON)")
@@ -161,7 +161,7 @@ def _cmd_lcs(args) -> int:
 
 
 def _cmd_one_mcs(args) -> int:
-    print(one_mcs(_load_strings(args), reverse_order=args.reverse_order))
+    print(one_mcs(_load_strings(args)[::-1 if args.reversed else 1]))
     return 0
 
 

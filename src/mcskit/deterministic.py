@@ -7,7 +7,8 @@ rightmost embedding of everything right of it. While those segments
 share a character, one is inserted at the gap's right end; when they no
 longer do, the gap can never admit an insertion again (later growth only
 shrinks earlier segments), so the scan advances. The result is therefore
-always maximal, and fully determined by the input order of the strings.
+always maximal. The order of the strings fixes it: reversed, they often
+give another solution.
 
 The characters right of the cursor form a stack, nearest on top: an
 insertion pushes, an advance pops. The character to insert is found by
@@ -56,12 +57,10 @@ def idx_after(s: str, c: str, i: int) -> int:
     return found if found >= 0 else len(s)
 
 
-def _shared_end(
-    strs: tuple[str, ...], idx_prev: list[int], idx_rear: list[int]
-) -> Optional[tuple[int, int, str]]:
-    """Least shift t, then least string j, at which the last character c
-    of segment j, with every rear lowered by t, occurs in every other
-    segment so lowered. Returns ``(t, j, c)``, or None when a segment
+def _shared_end(strs: tuple[str, ...], idx_prev: list[int], idx_rear: list[int]) -> Optional[str]:
+    """The last character c of segment j, with every rear lowered by t,
+    that occurs in every other segment so lowered, at the least shift t
+    and then the least string j. Returns c, or None when a segment
     empties first. Does not validate its input.
 
     A character missing from some segment at shift t is missing from it
@@ -70,26 +69,23 @@ def _shared_end(
     """
     dead: set[str] = set()
     for t in range(min(r - p for p, r in zip(idx_prev, idx_rear))):
-        for j, (s, r) in enumerate(zip(strs, idx_rear)):
+        for s, r in zip(strs, idx_rear):
             c = s[r - 1 - t]
             if c in dead:
                 continue
             if all(u.rfind(c, p, q - t) >= 0 for u, p, q in zip(strs, idx_prev, idx_rear)):
-                return t, j, c
+                return c
             dead.add(c)
     return None
 
 
-def one_mcs(strings: Iterable[str], reverse_order: bool = False) -> str:
+def one_mcs(strings: Iterable[str]) -> str:
     """A single maximal common subsequence, deterministically.
 
-    With ``reverse_order`` the string list is scanned in reverse, which
-    often (not always) lands on a different solution. Any empty input
-    string makes the empty subsequence the only answer.
+    The order of the strings fixes the result: reversed, they often (not
+    always) give another solution. Any empty string makes "" the answer.
     """
     strs = check_strings(strings)
-    if reverse_order:
-        strs = strs[::-1]
     ends = [len(s) for s in strs]
 
     # w holds the finished characters left of the cursor and left[j] the
@@ -102,9 +98,8 @@ def one_mcs(strings: Iterable[str], reverse_order: bool = False) -> str:
     right: list[tuple[str, list[int]]] = []
     while True:
         rear = right[-1][1] if right else ends
-        found = _shared_end(strs, left, rear)
-        if found is not None:
-            c = found[2]
+        c = _shared_end(strs, left, rear)
+        if c is not None:
             right.append((c, [idx_before(s, c, r) - 1 for s, r in zip(strs, rear)]))
         elif right:
             # The gap is closed for good: later insertions only shrink it.

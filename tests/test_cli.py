@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from mcskit import _engine, bench, derive_run_seed, random_mcs
+from mcskit import _engine, bench, derive_run_seed, one_mcs, random_mcs
 from mcskit.cli import main
 
 
@@ -142,6 +142,8 @@ class TestOneMcsCommand:
         assert code == 0 and out.strip() in {"GAP", "EP"}
         code, rev, _ = run(capsys, "one-mcs", "--input", toy_file, "--reverse-order")
         assert code == 0 and rev.strip() in {"GAP", "EP"}
+        # The flag reverses the input lines.
+        assert rev == one_mcs(["GAEPR", "TEGAP"]) + "\n"
 
 
 class TestEstimateCommand:

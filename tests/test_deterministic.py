@@ -74,14 +74,14 @@ def brute_unshifted_end(strs, idx_prev, idx_rear):
     return None
 
 
-class TestCommonSegment:
+class TestUnshiftedEnd:
     """Shift 0 of _shared_end: wherever brute_unshifted_end finds (j, c),
-    _shared_end returns (0, j, c)."""
+    _shared_end returns c."""
 
     def test_whole_string_segments_find_shared_character(self):
         got = _shared_end(("TEGAP", "GAEPR"), [0, 0], [5, 5])
-        assert got is not None and got[2] in set("EGAP")
-        assert got == (0, *brute_unshifted_end(["TEGAP", "GAEPR"], [0, 0], [5, 5]))
+        assert got is not None and got in set("EGAP")
+        assert got == brute_unshifted_end(["TEGAP", "GAEPR"], [0, 0], [5, 5])[1]
 
     def test_empty_segments_yield_none(self):
         assert _shared_end(("TEGAP", "GAEPR"), [3, 3], [3, 3]) is None
@@ -91,7 +91,8 @@ class TestCommonSegment:
 
     def test_two_char_strings(self):
         got = _shared_end(("AB", "BA"), [0, 0], [2, 2])
-        assert got is not None and got[0] == 0 and got[2] in "AB"
+        assert got is not None and got in "AB"
+        assert got == brute_unshifted_end(["AB", "BA"], [0, 0], [2, 2])[1]
 
     def test_agrees_with_brute_force_on_random_states(self, rng):
         for _ in range(400):
@@ -104,9 +105,12 @@ class TestCommonSegment:
             got = _shared_end(strs, idx_prev, idx_rear)
             want = brute_unshifted_end(strs, idx_prev, idx_rear)
             if want is None:
-                assert got is None or got[0] > 0
+                # Nothing at shift 0: any character found lies further in.
+                shifted = brute_shared_end(strs, idx_prev, idx_rear)
+                assert shifted is None or shifted[0] > 0
+                assert got == (None if shifted is None else shifted[2])
             else:
-                assert got == (0, *want)
+                assert got == want[1]
 
 
 def brute_shared_end(strs, idx_prev, idx_rear):
@@ -137,7 +141,7 @@ class TestSharedEnd:
                 rng.choice([len(s), rng.randint(p, len(s))]) for s, p in zip(strs, idx_prev)
             ]
             want = brute_shared_end(strs, idx_prev, idx_rear)
-            assert _shared_end(strs, idx_prev, idx_rear) == want
+            assert _shared_end(strs, idx_prev, idx_rear) == (None if want is None else want[2])
             outcomes["none" if want is None else "t>0" if want[0] else "t=0"] += 1
         assert min(outcomes.values()) >= 20, outcomes
 
@@ -146,7 +150,7 @@ class TestSharedEnd:
         # shift 1 it ends segment 0 again and is skipped as dead.
         strs = ("cxaxx", "cyay")
         assert brute_shared_end(strs, [0, 0], [5, 4]) == (1, 1, "a")
-        assert _shared_end(strs, [0, 0], [5, 4]) == (1, 1, "a")
+        assert _shared_end(strs, [0, 0], [5, 4]) == "a"
 
 
 def _digest(outputs):
@@ -172,8 +176,9 @@ def _non_ascii_family():
     ]
 
 
-# Recorded one_mcs outputs, keyed by reverse_order. A refactor of the
-# construction must reproduce them byte for byte.
+# Recorded one_mcs outputs, keyed by whether each string list is passed
+# reversed. A refactor of the construction must reproduce them byte for
+# byte.
 PINNED_ONE_MCS = {
     False: {
         "short": "be7f1abb73dd6b78",
@@ -205,9 +210,12 @@ class TestOneMcs:
         strs = ["TEGAP", "GAEPR"]
         assert one_mcs(strs) == one_mcs(strs)
         fwd = one_mcs(strs)
-        rev = one_mcs(strs, reverse_order=True)
+        rev = one_mcs(strs[::-1])
         assert is_maximal(strs, rev)
         assert {fwd, rev} <= {"GAP", "EP"}
+        # The order is the caller's: there is no option to reverse it.
+        with pytest.raises(TypeError):
+            one_mcs(strs, reverse_order=True)
 
     def test_output_common_and_maximal_on_random_instances(self, rng):
         for _ in range(100):
@@ -224,10 +232,10 @@ class TestOneMcs:
         assert one_mcs(strs) == "a"
         assert time.perf_counter() - t0 < 0.5
 
-    @pytest.mark.parametrize("reverse_order", [False, True])
-    def test_seeded_outputs_pinned(self, reverse_order):
+    @pytest.mark.parametrize("reversed_input", [False, True])
+    def test_seeded_outputs_pinned(self, reversed_input):
         def run(strs):
-            return one_mcs(strs, reverse_order=reverse_order)
+            return one_mcs(strs[::-1] if reversed_input else strs)
 
         got = {
             "short": _digest([run(strs) for strs in _short_family()]),
@@ -235,7 +243,7 @@ class TestOneMcs:
             "3x400": run(random_strings(3, 400, 20, seed=3)),
             "300x60": run(random_strings(300, 60, 4, seed=4)),
         }
-        assert got == PINNED_ONE_MCS[reverse_order]
+        assert got == PINNED_ONE_MCS[reversed_input]
 
 
 class TestOneMcsScaling:

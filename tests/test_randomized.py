@@ -199,6 +199,12 @@ class TestRequiredRuns:
             with pytest.raises(ValueError):
                 required_runs(0.5, bad)
 
+    def test_rejects_non_real(self):
+        with pytest.raises(TypeError, match="p must be a real number, got str"):
+            required_runs("0.5", 0.01)
+        with pytest.raises(TypeError, match="eps must be a real number, got NoneType"):
+            required_runs(0.5, None)
+
 
 class TestProbabilityLowerBound:
     def test_examples(self):
@@ -352,7 +358,7 @@ for strs in sets:
     for weighting in ("uniform", "frequency"):
         print(list(run_many(strs, 400, 5, weighting).counts.items()))
         print(list(run_many(strs, 400, 5, weighting, start=one_mcs(strs)[:2]).counts.items()))
-    print(one_mcs(strs), one_mcs(strs, reverse_order=True), lcs_dp(strs[:3]))
+    print(one_mcs(strs), one_mcs(strs[::-1]), lcs_dp(strs[:3]))
 print(extract_pattern(dates, runs=50, seed=2).render())
 """
 

@@ -10,19 +10,27 @@ with the contract primitives in :mod:`mcskit.subsequence`.
 :meth:`BreakpointScanner.search` advances batches of seeded runs in
 lockstep through it, one call a round, and keeps each subsequence's
 answer for the rest of the search, so repeated runs scan each distinct
-subsequence once. Only characters common to every string can ever
-appear in a bag, so the tables cover just those characters.
-:data:`ROUND_BYTES` sizes the batch and the count gather, and bounds
-what a search keeps.
+subsequence once. :data:`ROUND_BYTES` sizes the batch and the count
+gather, and bounds what a search keeps.
 
-The strings lie end to end in one text of n characters; boundary i of
-``strings[l]`` is offset ``starts[l] + i``. Each table has one row per
-shared character over the boundaries of that text, about 12 bytes per
-shared character and text character in all. A lookup that finds no c
-left in a string lands in a later string or past the text, beyond the
-string's end, and the kernel cannot tell that miss from a hit. So
-callers pass only common subsequences: ``randomized._searcher`` checks
-``start`` before it starts a search, and a run adds only bag characters.
+Only characters common to every string can ever appear in a bag or in a
+common subsequence, so the constructor deletes every other character
+from the strings, and the tables cover just the shared ones. A string
+that holds another one as a subsequence never sets a bag or closes a
+slot, so after the build one bounded pass drops such strings, and the
+scan, the batch and the count gather are sized from the strings left:
+a column whose values all hold one value is scanned over that one.
+
+The strings, shared characters only, lie end to end in one text of n
+characters; boundary i of ``strings[l]`` is offset ``starts[l] + i``,
+and a string the pass drops stays in the text, unread. Each table has
+one row per shared character over the boundaries of that text, about 12
+bytes per shared character and text character in all. A lookup that
+finds no c left in a string lands in a later string or past the text,
+beyond the string's end, and the kernel cannot tell that miss from a
+hit. So callers pass only common subsequences: ``randomized._searcher``
+checks a nonempty ``start`` before it starts a search, and a run adds
+only bag characters.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ._validation import UNIFORM, SizeGuardError
+from .subsequence import is_subsequence
 
 # Byte budget of one lockstep round. It fixes how many runs advance
 # together (their cursor arrays and count columns fit in it at the
@@ -69,27 +78,47 @@ class BreakpointScanner:
 
     def __init__(self, strings: tuple[str, ...]):
         # Bags are minima over strings and a live slot needs every string: repeats change neither.
+        # Nor does a string t that holds another string s over the shared
+        # characters: for a common w and a slot k, an embedding of s in t
+        # takes s's greedy embeddings of w[:k] and w[k:] into t, so t's own
+        # end no later and start no earlier; s's middle then embeds in t's,
+        # and s alone sets every minimum. The scan skips such t (_least).
         strings = tuple(dict.fromkeys(strings))
         shared = sorted(set(strings[0]).intersection(*strings[1:]))
         self.alphabet = shared
         # sorted orders a str by code point, so these ascend.
         self._codes = code_points("".join(shared))
-        # Offsets fit int32 under MAX_TABLE_BYTES. bounds[0] and bounds[1]
-        # hold where each string starts and ends in the text.
-        lengths = np.array([len(s) for s in strings], dtype=np.int32)
-        self._bounds = bounds = np.empty((2, 1, len(strings)), dtype=np.int32)
-        np.cumsum(lengths, out=bounds[1, 0])
-        np.subtract(bounds[1, 0], lengths, out=bounds[0, 0])
-        n = int(bounds[1, 0, -1])
+        # The guard counts the strings as given, before the reductions below.
+        n = sum(map(len, strings))
         need = 13 * len(shared) * (n + 2)
         if need > MAX_TABLE_BYTES:
             raise SizeGuardError(
                 f"scanner tables would need about {need} bytes for {len(shared)} shared "
                 f"characters over {n} characters (> MAX_TABLE_BYTES = {MAX_TABLE_BYTES})"
             )
-        at = np.arange(n, dtype=np.int32)
+        text = code_points("".join(strings))
         # hit[c, i]: text[i] is shared[c].
-        hit = self._codes[:, None] == code_points("".join(strings))
+        hit = self._codes[:, None] == text
+        # A common subsequence and a bag hold only shared characters, and
+        # every middle keeps its shared ones when the others are deleted: so
+        # deleting them changes no slot and no bag. A text character matches
+        # at most one shared character, so hit counts n when none is to go.
+        if np.count_nonzero(hit) < n:
+            is_shared = np.logical_or.reduce(hit, axis=0)
+            # ends[l]: where string l ends once the others are gone.
+            ends = np.append(0, is_shared.cumsum())[np.cumsum([len(s) for s in strings])].tolist()
+            joined = text[is_shared].tobytes().decode("utf-32-le", "surrogatepass")
+            strings = tuple(dict.fromkeys(joined[a:b] for a, b in zip([0, *ends], ends)))
+            text = code_points("".join(strings))
+            hit = self._codes[:, None] == text
+            n = len(text)
+        # Offsets fit int32 under MAX_TABLE_BYTES. bounds[0] and bounds[1]
+        # hold where each string starts and ends in the text.
+        lengths = np.array([len(s) for s in strings], dtype=np.int32)
+        bounds = np.empty((2, 1, len(strings)), dtype=np.int32)
+        np.cumsum(lengths, out=bounds[1, 0])
+        np.subtract(bounds[1, 0], lengths, out=bounds[0, 0])
+        at = np.arange(n, dtype=np.int32)
 
         # Both cursor tables share one allocation, so one flat take a step
         # advances the forward and the backward cursors of every run.
@@ -118,18 +147,67 @@ class BreakpointScanner:
             block = cum[i : i + 1 + (1 << 14)]
             block[1:] = hit[:, i : i + (1 << 14)].T
             np.cumsum(block, axis=0, out=block)
+        # Distinct strings of one length hold none of each other.
+        shortest = int(lengths.min())
+        if shortest < lengths.max():
+            bounds = bounds[:, :, self._least(strings, bounds)]
+        self._bounds = bounds
+        n_str = bounds.shape[2]
         # The flat offset of each table row, once per string.
         rows = np.arange(0, self._tables.size, n + 2, dtype=np.int32)
-        self._row_offsets = rows.repeat(len(strings)).reshape(-1, len(strings))
+        self._row_offsets = rows.repeat(n_str).reshape(-1, n_str)
 
         # Per run, a round holds about 25 bytes per slot and string (cursors,
         # lookup offsets, the slot's two ends, a comparison) and 4 per slot
         # and shared character, for m + 1 slots with m at most the shortest
         # string; the run's random generator keeps 2.5 KB of state. One
-        # gathered slot takes 12 bytes per string and shared character.
-        per_run = (int(lengths.min()) + 1) * (25 * len(strings) + 4 * len(shared)) + 2_500
+        # gathered slot takes 8 bytes per string and shared character, and 8
+        # per string for its ends: 12 per string and character bounds both
+        # from two shared characters on.
+        per_run = (shortest + 1) * (25 * n_str + 4 * len(shared)) + 2_500
         self.batch = max(1, ROUND_BYTES // per_run)
-        self._piece = max(1, ROUND_BYTES // (12 * len(strings) * max(len(shared), 1)))
+        self._piece = max(1, ROUND_BYTES // (12 * n_str * max(len(shared), 1)))
+
+    def _least(self, strings: tuple[str, ...], bounds: np.ndarray) -> np.ndarray:
+        """Ascending indices of ``strings`` left once one pass drops the
+        strings that hold another.
+
+        Candidates are tried shortest first. Each is tested only against
+        the longer kept strings whose count of every character is at least
+        its own, and every string it embeds in is dropped. The test makes
+        the fewer Python calls: one nxt lookup per candidate character over
+        all those strings at once, or one ``is_subsequence`` per string.
+        The pass stops at the first candidate that drops nothing, and once
+        its work reaches the sigma x (n + 2) cells of a table, counting one
+        unit per count compared and per character of each string tested;
+        so it costs about one build at most.
+        """
+        starts, ends = bounds[:, 0]
+        lengths = ends - starts
+        got = self._cum.take(bounds[:, 0], axis=0)
+        counts = got[1] - got[0]
+        nxt = self._tables[0]
+        work = nxt.size
+        # live: the kept strings, shortest first.
+        live = lengths.argsort(kind="stable")
+        p = 0
+        while p < len(live) and work > 0:
+            s = live[p]
+            p += 1
+            longer = live[p:][lengths.take(live[p:]) > lengths[s]]
+            over = longer[(counts.take(longer, axis=0) >= counts[s]).all(axis=1)]
+            if lengths[s] <= len(over):
+                cur = starts.take(over)
+                for c in self._codes.searchsorted(code_points(strings[s])).tolist():
+                    cur = nxt[c].take(cur)
+                held = over[cur <= ends.take(over)]
+            else:
+                held = [t for t in over.tolist() if is_subsequence(strings[s], strings[t])]
+            work -= len(longer) * len(self.alphabet) + int(lengths.take(over).sum())
+            if not len(held):
+                break
+            live = live[~np.isin(live, held)]
+        return np.sort(live)
 
     def slots(self, ws: list[str]) -> list[tuple[list[int], np.ndarray]]:
         """Live slots of R common subsequences ``ws`` of one length m.
@@ -172,12 +250,13 @@ class BreakpointScanner:
         cand = np.logical_and.reduce(ends[1] > ends[0], axis=1).nonzero()[0]
         # counts[p, c]: the minimum over strings of c's occurrences in the
         # middles of candidate p, gathered string-major so the minimum runs
-        # over whole rows.
+        # over whole rows. The difference overwrites the suffix half.
         counts = np.empty((len(cand), len(self.alphabet)), dtype=np.int32)
         for a in range(0, len(cand), self._piece):
             at = ends.take(cand[a : a + self._piece], axis=1).transpose(0, 2, 1)
             gathered = self._cum.take(at, axis=0)
-            np.minimum.reduce(gathered[1] - gathered[0], axis=0, out=counts[a : a + self._piece])
+            np.subtract(gathered[1], gathered[0], out=gathered[1])
+            np.minimum.reduce(gathered[1], axis=0, out=counts[a : a + self._piece])
         live = np.logical_or.reduce(counts, axis=1).nonzero()[0]
         # Cell j * (m + 1) + k is slot k of ws[j]. Cells ascend, so ws[j]'s
         # live slots end at cuts[j], where cell (j + 1) * (m + 1) would go.

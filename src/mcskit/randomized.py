@@ -89,9 +89,10 @@ def _searcher(
     """
     strs = check_strings(strings)
     check_weighting(weighting)
-    for i, s in enumerate(strs):
-        if not is_subsequence(start, s):
-            raise ValueError(f"start {start!r} is not a subsequence of string #{i} ({s!r})")
+    if start:
+        for i, s in enumerate(strs):
+            if not is_subsequence(start, s):
+                raise ValueError(f"start {start!r} is not a subsequence of string #{i} ({s!r})")
     return BreakpointScanner(strs).search(seeds, weighting, start)
 
 
@@ -142,7 +143,8 @@ def run_many(
     :meth:`BreakpointScanner.search`, each equal to the lone
     ``random_mcs`` run at its seed; tables that would pass
     ``_engine.MAX_TABLE_BYTES`` raise :class:`SizeGuardError`. Repeated
-    strings never change a result, and the scanner drops them.
+    strings, characters missing from some string, and strings that hold
+    another never change a result, and the scanner drops them.
     """
     counts = Counter(_seeded_runs(strings, runs, master_seed, weighting, start))
     return RunSummary(total_runs=runs, counts=dict(counts))

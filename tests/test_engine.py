@@ -1,13 +1,24 @@
 """The lockstep kernel must be observably identical to the contract
 primitives: same slots, same bags, same search outputs."""
 
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcskit import breakpoints, common_chars, is_subsequence, middle, random_mcs, run_many
+from mcskit import (
+    breakpoints,
+    common_chars,
+    extract_pattern,
+    is_subsequence,
+    middle,
+    one_mcs,
+    random_mcs,
+    run_many,
+)
 from mcskit._engine import BreakpointScanner
 from tests.conftest import random_instance
 
@@ -229,3 +240,100 @@ class TestFlatLayout:
             scanner = BreakpointScanner(strs)
             assert scanner.alphabet == sorted(common_chars(strs)), strs
             assert_slots_agree(strs, common_subsequences_sample(rng, strs), scanner)
+
+
+# Nested string sets: each string is an earlier one with characters
+# deleted and inserted, so many hold another. Inserted characters may be
+# missing from other strings, and the pool holds an astral character and
+# a lone surrogate.
+NEST_POOL = "abcd\U0001f600\ud800"
+
+
+def nested_family(rng):
+    strs = ["".join(rng.choice(NEST_POOL) for _ in range(rng.randint(4, 12))) for _ in range(2)]
+    for _ in range(rng.randint(1, 6)):
+        s = "".join(c for c in rng.choice(strs) if rng.random() < 0.85)
+        for _ in range(rng.randint(0, 4)):
+            i = rng.randint(0, len(s))
+            s = s[:i] + rng.choice(NEST_POOL + "xyz") + s[i:]
+        strs.append(s)
+    if rng.random() < 0.05:
+        strs.append("")
+    rng.shuffle(strs)
+    return tuple(strs)
+
+
+def held_family(rng):
+    """A short base, many strings that hold it, and a few random ones."""
+    base = "".join(rng.choice(NEST_POOL) for _ in range(rng.randint(1, 4)))
+    strs = [base]
+    for _ in range(rng.randint(4, 16)):
+        s = base
+        for _ in range(rng.randint(1, 5)):
+            i = rng.randint(0, len(s))
+            s = s[:i] + rng.choice(NEST_POOL + "xyz") + s[i:]
+        strs.append(s)
+    for _ in range(rng.randint(0, 3)):
+        strs.append("".join(rng.choice(NEST_POOL) for _ in range(rng.randint(3, 9))))
+    rng.shuffle(strs)
+    return tuple(strs)
+
+
+def generated_columns(seed):
+    """Three 2,000-value columns: timestamps, order ids and addresses."""
+    rng = random.Random(seed)
+    r = rng.randrange
+    return [
+        [f"2015-{1 + r(12):02d}-{1 + r(28):02d}T{r(24):02d}:{r(60):02d}" for _ in range(2000)],
+        [f"ORD-{chr(65 + r(26))}{r(10**5):05d}-{rng.choice(['EU', 'US', 'AP'])}"
+         for _ in range(2000)],
+        [f"192.168.{r(256)}.{r(256)}" for _ in range(2000)],
+    ]
+
+
+NESTED_DIGEST = "7442af9dd7dbb34b"
+COLUMN_TEMPLATES = ["2015-*-*T*:*", "ORD-*-*", "192.168.*.*"]
+COLUMN_DIGEST = "b3e5577f5730b6e6"
+
+
+def _digest(outputs):
+    joined = json.dumps(outputs, ensure_ascii=True).encode("ascii")
+    return hashlib.sha256(joined).hexdigest()[:16]
+
+
+class TestReducedStrings:
+    """The scanner deletes characters that are not shared and drops every
+    string that holds another; neither changes a slot or a bag."""
+
+    def test_slots_agree_with_contract_on_nested_sets(self):
+        rng = random.Random(41)
+        for family in [nested_family] * 120 + [held_family] * 60:
+            strs = family(rng)
+            assert_slots_agree(strs, common_subsequences_sample(rng, strs))
+
+    def test_values_that_hold_one_value_scan_one_string(self):
+        base = "2015-T:"
+        values = [base[:i] + d + base[i:] for i in range(len(base) + 1) for d in "0123456789"]
+        scanner = BreakpointScanner(tuple(values + [base]))
+        assert scanner._bounds.shape[-1] == 1
+        assert scanner.alphabet == sorted(set(base))
+        assert_slots_agree(tuple(values + [base]), ["", "20", "2015-T:"], scanner)
+
+    def test_seeded_outputs_pinned_on_nested_sets(self):
+        # Recorded before the scanner reduced its strings.
+        rng = random.Random(77)
+        outputs = []
+        for _ in range(40):
+            strs = nested_family(rng)
+            start = one_mcs(strs)[:2]
+            for weighting in ("uniform", "frequency"):
+                for w in ("", start):
+                    outputs.append(sorted(run_many(strs, 60, 3, weighting, start=w).counts.items()))
+        assert _digest(outputs) == NESTED_DIGEST
+
+    def test_column_outputs_pinned(self):
+        # Recorded before the scanner reduced its strings.
+        columns = generated_columns(5)
+        assert [extract_pattern(v, seed=1).render() for v in columns] == COLUMN_TEMPLATES
+        counts = [sorted(run_many(v, 30, 2).counts.items()) for v in columns]
+        assert _digest(counts) == COLUMN_DIGEST

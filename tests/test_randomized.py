@@ -64,6 +64,19 @@ class TestRandomMCS:
         with pytest.raises(ValueError):
             random_mcs(TOY, start="XYZ")
 
+    def test_only_a_nonempty_start_is_checked(self, monkeypatch):
+        checked = []
+
+        def counting(w, s):
+            checked.append(w)
+            return is_subsequence(w, s)
+
+        monkeypatch.setattr(randomized, "is_subsequence", counting)
+        run_many(TOY * 3, 5)
+        assert checked == []
+        run_many(TOY * 3, 5, start="GP")
+        assert checked == ["GP"] * 6
+
     def test_no_shared_characters_yields_empty(self):
         assert random_mcs(["abc", "xyz"], seed=3) == ""
 
@@ -310,7 +323,7 @@ class TestLockstepRuns:
         runs = _seeded_runs(TOY, 10**6, 0, "uniform", "")
         assert derived == []
         first = next(runs)
-        # The round budget bounds the batch: 362 runs on TOY.
+        # The round budget bounds the batch: 370 runs on TOY.
         assert 0 < len(derived) <= _engine.BreakpointScanner(TOY).batch
         assert first == random_mcs(TOY, seed=derive_run_seed(0, 0))
 

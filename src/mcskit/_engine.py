@@ -19,7 +19,9 @@ from the strings, and the tables cover just the shared ones. A string
 that holds another one as a subsequence never sets a bag or closes a
 slot, so after the build one bounded pass drops such strings, and the
 scan, the batch and the count gather are sized from the strings left:
-a column whose values all hold one value is scanned over that one.
+a column whose values all hold one value is scanned over that one. When
+a single string is left, it is the only maximal common subsequence, and
+a search returns it for every run without drawing.
 
 The strings, shared characters only, lie end to end in one text of n
 characters; boundary i of ``strings[l]`` is offset ``starts[l] + i``,
@@ -83,6 +85,11 @@ class BreakpointScanner:
         # takes s's greedy embeddings of w[:k] and w[k:] into t, so t's own
         # end no later and start no earlier; s's middle then embeds in t's,
         # and s alone sets every minimum. The scan skips such t (_least).
+        # When one string t is left, every given string holds t, so t is
+        # common; and a common w, made of shared characters, embeds in t's
+        # string as given and so in t. So t is the one maximal common
+        # subsequence, and every run from a common start ends there:
+        # search returns t without drawing.
         strings = tuple(dict.fromkeys(strings))
         shared = sorted(set(strings[0]).intersection(*strings[1:]))
         self.alphabet = shared
@@ -149,10 +156,13 @@ class BreakpointScanner:
             np.cumsum(block, axis=0, out=block)
         # Distinct strings of one length hold none of each other.
         shortest = int(lengths.min())
+        kept = [0]
         if shortest < lengths.max():
-            bounds = bounds[:, :, self._least(strings, bounds)]
+            kept = self._least(strings, bounds)
+            bounds = bounds[:, :, kept]
         self._bounds = bounds
         n_str = bounds.shape[2]
+        self._sole = strings[kept[0]] if n_str == 1 else None
         # The flat offset of each table row, once per string.
         rows = np.arange(0, self._tables.size, n + 2, dtype=np.int32)
         self._row_offsets = rows.repeat(n_str).reshape(-1, n_str)
@@ -283,7 +293,15 @@ class BreakpointScanner:
         slots and bags until the kept bag rows, slots and entries would
         pass :data:`ROUND_BYTES`; none is dropped. A batch short of full is
         the last, so it keeps nothing.
+
+        When the reductions leave one string, that string is the only
+        maximal common subsequence, and the search returns it once per
+        seed it takes, one seed at a time, with no draw and no scan.
         """
+        if self._sole is not None:
+            for _ in seeds:
+                yield self._sole
+            return
         # seen[w]: w's live slots and their bags, as slots returned them.
         seen, held = {}, 0
         seeds = iter(seeds)

@@ -6,7 +6,11 @@ randomized search can find, rendered as a template of literal runs and
 ends). Every column value is guaranteed to match its own template; the
 wildcard segments can then be pulled out as features. Only the search is
 sampled, above ``MAX_DISTINCT`` distinct values; the alignment reads
-every distinct value, so its cost is linear in the column.
+every distinct value, so its cost is linear in the column. It walks all
+values at once: each backbone character is one ``searchsorted`` of every
+value's cursor into that character's occurrences, over chunks of values
+whose encoded text and occurrence lists stay within
+``_engine.ROUND_BYTES``.
 """
 
 from __future__ import annotations
@@ -16,11 +20,14 @@ from functools import cached_property
 from random import Random
 from typing import Iterable
 
+import numpy as np
+
+from . import _engine
 from ._validation import UNIFORM, check_strings
 from .base import ParamsMixin
 from .deterministic import one_mcs
 from .randomized import DEFAULT_SEED, derive_run_seed, longest_of_runs
-from .subsequence import is_subsequence, leftmost_positions
+from .subsequence import is_subsequence
 
 # Each search run scans every distinct value per step, so a column with
 # more than MAX_DISTINCT distinct values is searched on a seeded sample of
@@ -138,8 +145,10 @@ def extract_pattern(
     embedding; a gap becomes a wildcard iff any value has at least one
     character there, otherwise the neighboring backbone characters fuse
     into one literal. With an empty backbone the template is a single
-    wildcard. Every value matches the template, and the alignment's cost
-    is linear in the column.
+    wildcard. Every value matches the template. The alignment embeds the
+    backbone into all values at once, one vectorized step per backbone
+    character, so its cost is linear in the column; it encodes the values
+    in chunks that stay within ``_engine.ROUND_BYTES``.
     """
     distinct = sorted(set(check_strings(values)))
     sample = distinct
@@ -157,17 +166,8 @@ def extract_pattern(
     if not backbone:
         return ColumnPattern((WILDCARD,))
 
-    # gap_open[i]: some value has characters between backbone char i-1
-    # and i (ends included: gap 0 precedes the backbone, gap m follows it).
     m = len(backbone)
-    gap_open = [False] * (m + 1)
-    for v in distinct:
-        positions = leftmost_positions(backbone, v)
-        bounds = [-1] + positions + [len(v)]
-        for g in range(m + 1):
-            if bounds[g + 1] - bounds[g] > 1:
-                gap_open[g] = True
-
+    gap_open = _gap_open(backbone, distinct)
     tokens: list = []
     run = ""
     for g in range(m + 1):
@@ -181,6 +181,43 @@ def extract_pattern(
     if run:
         tokens.append(run)
     return ColumnPattern(tuple(tokens))
+
+
+def _gap_open(backbone: str, values: list[str]) -> list[bool]:
+    """Per gap of ``backbone`` in ``values``, whether some value has a
+    character there under the greedy leftmost embedding.
+
+    Gap g lies between backbone characters g - 1 and g; gap 0 precedes
+    the backbone and gap ``len(backbone)`` follows it. The backbone must
+    embed in every value.
+    """
+    gap_open = [False] * (len(backbone) + 1)
+    codes = _engine.code_points(backbone).tolist()
+    lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+    ends = np.cumsum(lengths)
+    # A chunk of values holds 4 bytes of encoded text per character, and at
+    # most 8 of occurrence offsets: each character is in one list at most.
+    budget = _engine.ROUND_BYTES // 12
+    a = 0
+    while a < len(values):
+        base = int(ends[a] - lengths[a])
+        b = max(a + 1, int(ends.searchsorted(base + budget, side="right")))
+        text = _engine.code_points("".join(values[a:b]))
+        # cur[j]: the offset in text where value j's next lookup starts.
+        end = ends[a:b] - base
+        cur = end - lengths[a:b]
+        # The backbone embeds in every distinct value: it is a search result
+        # over them, or one_mcs shrank it until each value holds it. So the
+        # first occurrence at or past a cursor lies inside the cursor's own
+        # value, and every lookup below stays there.
+        at = {c: np.flatnonzero(text == c) for c in set(codes)}
+        for g, c in enumerate(codes):
+            found = at[c][at[c].searchsorted(cur)]
+            gap_open[g] = gap_open[g] or bool((found > cur).any())
+            cur = found + 1
+        gap_open[-1] = gap_open[-1] or bool((end > cur).any())
+        a = b
+    return gap_open
 
 
 class PatternExtractor(ParamsMixin):

@@ -98,15 +98,19 @@ def breakpoints(strings: Iterable[str], w: str) -> list[int]:
     caller bug, not a legitimate query.
     """
     strs = check_strings(strings)
+    # Greedy embeddings extend prefix by prefix and suffix by suffix, so
+    # slot k's middle in s lies between w's leftmost embedding up to k and
+    # its rightmost embedding from k: one pair of embeddings per string.
+    cuts = []
     for i, s in enumerate(strs):
-        if not is_subsequence(w, s):
+        left = leftmost_positions(w, s)
+        if left is None:
             raise ValueError(f"{w!r} is not a subsequence of string #{i} ({s!r})")
+        cuts.append((s, [0] + [p + 1 for p in left], rightmost_positions(w, s) + [len(s)]))
     slots = []
     for k in range(len(w) + 1):
-        mids = [middle(s, w, k) for s in strs]
-        if any(not m for m in mids):
-            continue
-        if common_chars(mids):
+        mids = [s[lo[k] : hi[k]] for s, lo, hi in cuts]
+        if all(mids) and set(mids[0]).intersection(*mids[1:]):
             slots.append(k)
     return slots
 

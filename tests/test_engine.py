@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from mcskit import (
     breakpoints,
     common_chars,
+    derive_run_seed,
+    enumerate_mcs,
     extract_pattern,
     is_subsequence,
     middle,
@@ -19,7 +21,9 @@ from mcskit import (
     random_mcs,
     run_many,
 )
+from mcskit import _engine, randomized
 from mcskit._engine import BreakpointScanner
+from mcskit.randomized import _seeded_runs
 from tests.conftest import random_instance
 
 
@@ -337,3 +341,57 @@ class TestReducedStrings:
         assert [extract_pattern(v, seed=1).render() for v in columns] == COLUMN_TEMPLATES
         counts = [sorted(run_many(v, 30, 2).counts.items()) for v in columns]
         assert _digest(counts) == COLUMN_DIGEST
+
+
+def sole_family(rng):
+    """A base and strings that each hold it, with inserted characters that
+    some strings lack: the scanner keeps one string."""
+    base = "".join(rng.choice(NEST_POOL) for _ in range(rng.randint(0, 5)))
+    strs = [base]
+    for _ in range(rng.randint(0, 3)):
+        s = base
+        for _ in range(rng.randint(0, 4)):
+            i = rng.randint(0, len(s))
+            s = s[:i] + rng.choice(NEST_POOL + "xyz") + s[i:]
+        strs.append(s)
+    rng.shuffle(strs)
+    return tuple(strs)
+
+
+class TestOneStringLeft:
+    """A set the reductions take to one string has that string as its only
+    maximal common subsequence, and the search returns it without drawing."""
+
+    def test_every_run_returns_the_one_string(self, monkeypatch):
+        calls = []
+        slots = BreakpointScanner.slots
+        monkeypatch.setattr(BreakpointScanner, "slots",
+                            lambda self, ws: calls.append(ws) or slots(self, ws))
+        monkeypatch.setattr(_engine, "Random", None)
+        rng = random.Random(5)
+        for _ in range(60):
+            strs = sole_family(rng)
+            (sole,) = enumerate_mcs(strs)
+            assert BreakpointScanner(strs)._sole == sole
+            start = "".join(c for c in sole if rng.random() < 0.5)
+            for weighting in ("uniform", "frequency"):
+                for w in ("", start):
+                    assert run_many(strs, 7, 3, weighting, start=w).counts == {sole: 7}
+        assert calls == []
+
+    def test_seeds_are_derived_one_run_at_a_time(self, monkeypatch):
+        derived = []
+
+        def counting(master, index):
+            derived.append(index)
+            return derive_run_seed(master, index)
+
+        monkeypatch.setattr(randomized, "derive_run_seed", counting)
+        runs = _seeded_runs(["ab", "xab", "abz"], 10**6, 0, "uniform", "")
+        assert derived == []
+        assert [next(runs), next(runs)] == ["ab", "ab"]
+        assert derived == [0, 1]
+
+    def test_sets_left_with_two_strings_still_draw(self):
+        assert BreakpointScanner(("ab", "ba", "xab"))._sole is None
+        assert BreakpointScanner(("ab", "ba"))._sole is None

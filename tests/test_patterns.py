@@ -12,6 +12,7 @@ from mcskit import (
     ColumnPattern,
     PatternExtractor,
     extract_pattern,
+    leftmost_positions,
     render_pattern,
 )
 from mcskit import patterns
@@ -159,6 +160,57 @@ class TestExtractPattern:
         assert set(PatternExtractor().get_params()) == {"n_runs", "random_state", "weighting"}
         with pytest.raises(TypeError):
             extract_pattern(["a1", "a2"], max_distinct=10)
+
+
+def loop_gap_open(backbone, values):
+    """Reference alignment: each value's leftmost embedding, one at a time."""
+    gap_open = [False] * (len(backbone) + 1)
+    for v in values:
+        bounds = [-1] + leftmost_positions(backbone, v) + [len(v)]
+        for g in range(len(backbone) + 1):
+            if bounds[g + 1] - bounds[g] > 1:
+                gap_open[g] = True
+    return gap_open
+
+
+def held_column(rng, size):
+    """A backbone over a pool with an astral character and a lone
+    surrogate, often repeating a character, and up to ``size`` distinct
+    values that hold it."""
+    pool = "ab\U0001f600\ud800"
+    backbone = "".join(rng.choice(pool) for _ in range(rng.randint(1, 6)))
+    values = set()
+    for _ in range(size):
+        v = backbone
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randint(0, len(v))
+            v = v[:i] + rng.choice(pool + "xy") + v[i:]
+        values.add(v)
+    return backbone, sorted(values)
+
+
+class TestAlignmentWalk:
+    """The vectorized walk opens the gaps the per-value leftmost embedding
+    opens."""
+
+    def test_agrees_with_the_per_value_loop(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            backbone, values = held_column(rng, rng.randint(1, 12))
+            assert patterns._gap_open(backbone, values) == loop_gap_open(backbone, values)
+
+    def test_chunks_agree_with_one_walk(self, monkeypatch):
+        backbone, values = held_column(random.Random(9), 60)
+        values.append(backbone + "x" * 40)
+        encoded = []
+        code_points = patterns._engine.code_points
+        monkeypatch.setattr(patterns._engine, "code_points",
+                            lambda text: encoded.append(text) or code_points(text))
+        # 16 characters a chunk; the last value is longer and gets its own.
+        monkeypatch.setattr(patterns._engine, "ROUND_BYTES", 12 * 16)
+        assert patterns._gap_open(backbone, values) == loop_gap_open(backbone, values)
+        # The backbone, then one encode per chunk.
+        assert len(encoded) > 3 and "".join(encoded[1:]) == "".join(values)
 
 
 class TestRenderPattern:

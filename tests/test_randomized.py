@@ -347,13 +347,17 @@ class TestScanMemo:
             return slots(self, ws)
 
         monkeypatch.setattr(_engine.BreakpointScanner, "slots", counting)
+        # More runs than one batch, so later batches reuse what earlier
+        # ones scanned.
+        runs = 500
+        assert runs > _engine.BreakpointScanner(DATES).batch
         with pytest.MonkeyPatch.context() as mp:
             # A 1-byte budget keeps nothing: every run scans every round.
             mp.setattr(_engine, "ROUND_BYTES", 1)
-            unkept = list(_seeded_runs(DATES, 100, 0, weighting, start))
+            unkept = list(_seeded_runs(DATES, runs, 0, weighting, start))
         states, rounds = set(scanned), len(scanned)
         scanned.clear()
-        kept = list(_seeded_runs(DATES, 100, 0, weighting, start))
+        kept = list(_seeded_runs(DATES, runs, 0, weighting, start))
         assert len(scanned) == len(states) < rounds
         assert set(scanned) == states
         assert kept == unkept

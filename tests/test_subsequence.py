@@ -14,6 +14,7 @@ from mcskit import (
     is_maximal,
     is_subsequence,
     middle,
+    random_mcs,
 )
 from tests.conftest import random_instance
 
@@ -137,6 +138,32 @@ class TestBreakpoints:
             breakpoints(["TEGAP", "GAEPR"], "XYZ")
         with pytest.raises(ValueError):
             breakpoints(["TEGAP", "GAEPR"], "GAPR")
+
+    def test_error_names_the_first_string_missing_it(self):
+        with pytest.raises(ValueError, match=r"'GAPR' is not a subsequence of string #1 \('GAEP'\)"):
+            breakpoints(["TGEGAPR", "GAEP", "XYZ"], "GAPR")
+
+    def test_agrees_with_the_per_slot_definition(self):
+        # Pool with an astral character and a lone surrogate; w is a random
+        # common subsequence, often not maximal.
+        rng = random.Random(23)
+        pool = "abc\U0001f600\ud800"
+        for _ in range(400):
+            strs = ["".join(rng.choice(pool) for _ in range(rng.randint(0, 9)))
+                    for _ in range(rng.randint(1, 4))]
+            mcs = random_mcs(strs, seed=rng.randrange(10**6))
+            w = "".join(c for c in mcs if rng.random() < 0.7)
+            assert breakpoints(strs, w) == per_slot_breakpoints(strs, w), (strs, w)
+
+
+def per_slot_breakpoints(strs, w):
+    """Reference: every slot's middles taken one at a time with ``middle``."""
+    slots = []
+    for k in range(len(w) + 1):
+        mids = [middle(s, w, k) for s in strs]
+        if all(mids) and common_chars(mids):
+            slots.append(k)
+    return slots
 
 
 def brute_force_maximal(strs, w):

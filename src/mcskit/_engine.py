@@ -17,22 +17,29 @@ Only characters common to every string can ever appear in a bag or in a
 common subsequence, so the constructor deletes every other character
 from the strings, and the tables cover just the shared ones. A string
 that holds another one as a subsequence never sets a bag or closes a
-slot, so after the build one bounded pass drops such strings, and the
-scan, the batch and the count gather are sized from the strings left:
-a column whose values all hold one value is scanned over that one. When
-a single string is left, it is the only maximal common subsequence, and
-a search returns it for every run without drawing.
+slot, so the constructor reduces first and builds second: it builds
+one next-occurrence table over the reduced strings, and a nesting pass
+walks the strings through it and drops every string that holds
+another. On sets that nest, the pass runs on to the minimal set, where
+no kept string holds another; on a set where no string holds another it
+stops after about one candidate, and :data:`LEAST_WORK` bounds it in
+between. Then the tables are built over the text of the kept strings,
+and the scan, the batch and the count gather are sized from them: a
+column whose values all hold one value is scanned over that one. When a
+single string is left, it is the only maximal common subsequence, and a
+search returns it for every run without drawing.
 
-The strings, shared characters only, lie end to end in one text of n
-characters; boundary i of ``strings[l]`` is offset ``starts[l] + i``,
-and a string the pass drops stays in the text, unread. Each table has
-one row per shared character over the boundaries of that text, about 12
-bytes per shared character and text character in all. A lookup that
-finds no c left in a string lands in a later string or past the text,
-beyond the string's end, and the kernel cannot tell that miss from a
-hit. So callers pass only common subsequences: ``randomized._searcher``
-checks a nonempty ``start`` before it starts a search, and a run adds
-only bag characters.
+The kept strings, shared characters only, lie end to end in one text of
+n characters; boundary i of ``strings[l]`` is offset ``starts[l] + i``.
+When the pass keeps most of the text, building the tables again would
+cost more than it saves: the dropped strings then stay in the text,
+unread, and the pass's table is kept. Each table has one row per shared
+character over the boundaries of that text, about 12 bytes per shared
+character and text character in all. A lookup that finds no c left in
+a string lands in a later string or past the text, beyond the string's
+end, and the kernel cannot tell that miss from a hit. So callers pass
+only common subsequences: ``randomized._searcher`` checks a nonempty
+``start`` before it starts a search, and a run adds only bag characters.
 """
 
 from __future__ import annotations
@@ -59,6 +66,13 @@ ROUND_BYTES = 1 << 20
 # also keeps every flat table offset within int32.
 MAX_TABLE_BYTES = 1 << 30
 
+# Work the nesting pass (BreakpointScanner._least) may do before it has
+# dropped a string, in counts compared and characters walked: about one
+# candidate of 30 characters tested against 1,000 strings over 4 shared
+# characters. Each character it drops earns it 3 units per shared
+# character, the cells it saves in the three tables.
+LEAST_WORK = 1 << 14
+
 
 def code_points(text: str) -> np.ndarray:
     """Code points of ``text`` as a uint32 array.
@@ -67,6 +81,18 @@ def code_points(text: str) -> np.ndarray:
     ``str`` may hold but a plain UTF-32 encode rejects.
     """
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+def _bounds(lengths: np.ndarray) -> np.ndarray:
+    """Where strings of these lengths, laid end to end, start
+    (``bounds[0, 0]``) and end (``bounds[1, 0]``) in their text.
+
+    int32 offsets: they fit under :data:`MAX_TABLE_BYTES`.
+    """
+    bounds = np.empty((2, 1, len(lengths)), dtype=np.int32)
+    np.cumsum(lengths, out=bounds[1, 0])
+    np.subtract(bounds[1, 0], lengths, out=bounds[0, 0])
+    return bounds
 
 
 class BreakpointScanner:
@@ -84,7 +110,8 @@ class BreakpointScanner:
         # characters: for a common w and a slot k, an embedding of s in t
         # takes s's greedy embeddings of w[:k] and w[k:] into t, so t's own
         # end no later and start no earlier; s's middle then embeds in t's,
-        # and s alone sets every minimum. The scan skips such t (_least).
+        # and s alone sets every minimum. The nesting pass drops such t
+        # (_least) before the tables are built.
         # When one string t is left, every given string holds t, so t is
         # common; and a common w, made of shared characters, embeds in t's
         # string as given and so in t. So t is the one maximal common
@@ -118,30 +145,40 @@ class BreakpointScanner:
             strings = tuple(dict.fromkeys(joined[a:b] for a, b in zip([0, *ends], ends)))
             text = code_points("".join(strings))
             hit = self._codes[:, None] == text
-            n = len(text)
-        # Offsets fit int32 under MAX_TABLE_BYTES. bounds[0] and bounds[1]
-        # hold where each string starts and ends in the text.
         lengths = np.array([len(s) for s in strings], dtype=np.int32)
-        bounds = np.empty((2, 1, len(strings)), dtype=np.int32)
-        np.cumsum(lengths, out=bounds[1, 0])
-        np.subtract(bounds[1, 0], lengths, out=bounds[0, 0])
-        at = np.arange(n, dtype=np.int32)
+        tables = self._lookup(text, hit)
+        bounds = _bounds(lengths)
+        self._sole = strings[0] if len(strings) == 1 else None
+        # Distinct strings of one length hold none of each other.
+        shortest = int(lengths.min())
+        if shortest < lengths.max():
+            alive = self._least(strings, hit, bounds, tables[0])
+            kept = np.flatnonzero(alive)
+            if len(kept) == 1:
+                self._sole = strings[kept[0]]
+            # Building the three tables over the kept text costs less than
+            # building the other two over the whole text: then the pass's
+            # nxt is dropped and all three are built there. Otherwise the
+            # dropped strings stay in the text, unread, and the pass's nxt
+            # is the scanner's.
+            if 3 * int(lengths.take(kept).sum()) < 2 * len(text):
+                del tables
+                text = text[alive.repeat(lengths)]
+                hit = self._codes[:, None] == text
+                tables = self._lookup(text, hit)
+                bounds = _bounds(lengths.take(kept))
+            elif len(kept) < len(strings):
+                bounds = bounds[:, :, kept]
+        self._bounds = bounds
+        n = len(text)
+        n_str = bounds.shape[2]
 
-        # Both cursor tables share one allocation, so one flat take a step
-        # advances the forward and the backward cursors of every run.
-        # Tables are filled in place: no full-size temporary beyond hit.
-        self._tables = np.empty((2, len(shared), n + 2), dtype=np.int32)
-        # nxt: offset just past the first c at or after the boundary, or
-        # n + 1 when there is none; looking up from n + 1 misses again.
-        nxt = self._tables[0]
-        nxt.fill(n + 1)
-        np.copyto(nxt[:, :n], at + 1, where=hit)
-        np.minimum.accumulate(nxt[:, ::-1], axis=1, out=nxt[:, ::-1])
+        self._tables = tables
         # lst: offset of the last c before the boundary (-1 when none); its
         # column n + 1 is never read.
-        lst = self._tables[1, :, : n + 1]
+        lst = tables[1, :, : n + 1]
         lst.fill(-1)
-        np.copyto(lst[:, 1:], at, where=hit)
+        np.copyto(lst[:, 1:], np.arange(n, dtype=np.int32), where=hit)
         np.maximum.accumulate(lst, axis=1, out=lst)
         # cum[i, c]: occurrences of c in the text before boundary i; the
         # difference of two boundaries of one string counts that string's.
@@ -154,17 +191,8 @@ class BreakpointScanner:
             block = cum[i : i + 1 + (1 << 14)]
             block[1:] = hit[:, i : i + (1 << 14)].T
             np.cumsum(block, axis=0, out=block)
-        # Distinct strings of one length hold none of each other.
-        shortest = int(lengths.min())
-        kept = [0]
-        if shortest < lengths.max():
-            kept = self._least(strings, bounds)
-            bounds = bounds[:, :, kept]
-        self._bounds = bounds
-        n_str = bounds.shape[2]
-        self._sole = strings[kept[0]] if n_str == 1 else None
         # The flat offset of each table row, once per string.
-        rows = np.arange(0, self._tables.size, n + 2, dtype=np.int32)
+        rows = np.arange(0, tables.size, n + 2, dtype=np.int32)
         self._row_offsets = rows.repeat(n_str).reshape(-1, n_str)
 
         # Per run, a round holds about 25 bytes per slot and string (cursors,
@@ -178,46 +206,95 @@ class BreakpointScanner:
         self.batch = max(1, ROUND_BYTES // per_run)
         self._piece = max(1, ROUND_BYTES // (12 * n_str * max(len(shared), 1)))
 
-    def _least(self, strings: tuple[str, ...], bounds: np.ndarray) -> np.ndarray:
-        """Ascending indices of ``strings`` left once one pass drops the
-        strings that hold another.
+    def _lookup(self, text: np.ndarray, hit: np.ndarray) -> np.ndarray:
+        """Room for both cursor tables over ``text``, with nxt filled.
 
-        Candidates are tried shortest first. Each is tested only against
-        the longer kept strings whose count of every character is at least
-        its own, and every string it embeds in is dropped. The test makes
-        the fewer Python calls: one nxt lookup per candidate character over
-        all those strings at once, or one ``is_subsequence`` per string.
-        The pass stops at the first candidate that drops nothing, and once
-        its work reaches the sigma x (n + 2) cells of a table, counting one
-        unit per count compared and per character of each string tested;
-        so it costs about one build at most.
+        Both share one allocation, so one flat take a step advances the
+        forward and the backward cursors of every run. nxt holds the
+        offset just past the first c at or after the boundary, or n + 1
+        when there is none; looking up from n + 1 misses again. It is
+        filled in place: no full-size temporary beyond ``hit``.
         """
+        n = len(text)
+        tables = np.empty((2, len(self._codes), n + 2), dtype=np.int32)
+        nxt = tables[0]
+        nxt.fill(n + 1)
+        np.copyto(nxt[:, :n], np.arange(1, n + 1, dtype=np.int32), where=hit)
+        np.minimum.accumulate(nxt[:, ::-1], axis=1, out=nxt[:, ::-1])
+        return tables
+
+    def _least(self, strings: tuple[str, ...], hit: np.ndarray, bounds: np.ndarray,
+               nxt: np.ndarray) -> np.ndarray:
+        """Mask of the strings that hold no other string, as far as
+        :data:`LEAST_WORK` reaches, over the text whose mask is ``hit``
+        and whose next-occurrence table is ``nxt``.
+
+        Candidates are tried shortest first, a chunk of one length at a
+        time. A string is tested against a candidate only when it is
+        longer and its count of every character is at least the
+        candidate's, and every string that holds some candidate of the
+        chunk is dropped. A string that holds another holds one that
+        holds none, which is shorter, is never dropped, and so is tried
+        before it: a pass that runs to the end leaves the minimal set.
+        A candidate that drops nothing does not end the pass.
+
+        A chunk walks its candidates over their strings through ``nxt``,
+        all at once, one ``take`` a character. When there are fewer
+        strings to test than a candidate has characters, as for a few long
+        strings, each is tested with ``is_subsequence`` instead.
+
+        The work counts one unit per count compared and per character
+        walked. The pass may do :data:`LEAST_WORK` units, plus 3 sigma for
+        each character it drops, which then is in none of the three
+        tables. A chunk takes as many candidates as that leaves room for,
+        and at least one. So the pass runs on while it drops strings and
+        stops after about one candidate when none holds another.
+        """
+        sigma, width = nxt.shape
         starts, ends = bounds[:, 0]
         lengths = ends - starts
-        got = self._cum.take(bounds[:, 0], axis=0)
-        counts = got[1] - got[0]
-        nxt = self._tables[0]
-        work = nxt.size
-        # live: the kept strings, shortest first.
-        live = lengths.argsort(kind="stable")
-        p = 0
-        while p < len(live) and work > 0:
-            s = live[p]
-            p += 1
-            longer = live[p:][lengths.take(live[p:]) > lengths[s]]
-            over = longer[(counts.take(longer, axis=0) >= counts[s]).all(axis=1)]
-            if lengths[s] <= len(over):
-                cur = starts.take(over)
-                for c in self._codes.searchsorted(code_points(strings[s])).tolist():
-                    cur = nxt[c].take(cur)
-                held = over[cur <= ends.take(over)]
-            else:
-                held = [t for t in over.tolist() if is_subsequence(strings[s], strings[t])]
-            work -= len(longer) * len(self.alphabet) + int(lengths.take(over).sum())
-            if not len(held):
+        # counts[c, l]: occurrences of shared character c in string l. The
+        # scanner calls this only with a shared character, so no string
+        # is empty and every start is a new segment.
+        counts = np.add.reduceat(hit, starts, axis=1, dtype=np.int32)
+        flat = nxt.reshape(-1)
+        # order: the strings left, shortest first, with their sizes and
+        # counts; p: the next candidate.
+        order = lengths.argsort(kind="stable")
+        sizes, counts = lengths.take(order), counts.take(order, axis=1)
+        alive = np.ones(len(lengths), dtype=bool)
+        allowance, p = LEAST_WORK, 0
+        while p < len(order) and allowance > 0:
+            size = int(sizes[p])
+            q = int(sizes.searchsorted(size, side="right"))
+            if q == len(order):
                 break
-            live = live[~np.isin(live, held)]
-        return np.sort(live)
+            g = max(1, min(q - p, allowance // ((len(order) - q) * (sigma + size))))
+            chunk = order[p : p + g]
+            over = counts[:, None, q:] >= counts[:, p : p + g, None]
+            s, t = np.logical_and.reduce(over, axis=0).nonzero()
+            t = order.take(t + q)
+            allowance -= g * (len(order) - q) * sigma + size * len(t)
+            p += g
+            if not len(t):
+                continue
+            if size <= len(t):
+                # at[j, a]: the flat offset in nxt of chunk[a]'s j-th row.
+                walked = code_points("".join([strings[a] for a in chunk.tolist()]))
+                at = self._codes.searchsorted(walked).reshape(g, size).T * width
+                cur = starts.take(t)
+                for step in at:
+                    cur = flat.take(step.take(s) + cur)
+                held = t[cur <= ends.take(t)]
+            else:
+                held = [b for a, b in zip(chunk.take(s).tolist(), t.tolist())
+                        if is_subsequence(strings[a], strings[b])]
+            if len(held):
+                alive[held] = False
+                kept = alive.take(order)
+                allowance += 3 * sigma * int(sizes[~kept].sum())
+                order, sizes, counts = order[kept], sizes[kept], counts[:, kept]
+        return alive
 
     def slots(self, ws: list[str]) -> list[tuple[list[int], np.ndarray]]:
         """Live slots of R common subsequences ``ws`` of one length m.

@@ -70,16 +70,20 @@ class ColumnPattern:
         return sum(1 for tok in self.tokens if tok is WILDCARD)
 
     @cached_property
-    def _segments(self) -> tuple[str, ...]:
-        """Literal text between wildcards: the anchored prefix, each inner
-        literal, then the anchored suffix (prefix and suffix may be empty)."""
+    def _plan(self) -> tuple[str, str, tuple[str, ...] | None]:
+        """The literal text between wildcards, split once per template: the
+        anchored prefix, the anchored suffix (either may be empty) and the
+        inner literals right to left, or None in their place when the
+        template has no wildcard and the prefix is all of it."""
         segments = [""]
         for tok in self.tokens:
             if tok is WILDCARD:
                 segments.append("")
             else:
                 segments[-1] += tok
-        return tuple(segments)
+        if len(segments) == 1:
+            return segments[0], "", None
+        return segments[0], segments[-1], tuple(segments[-2:0:-1])
 
     def _match(self, value: str) -> tuple[str, ...] | None:
         """Wildcard captures of ``value``, or None when it does not match.
@@ -88,22 +92,22 @@ class ColumnPattern:
         fits before the next. That is the rightmost embedding, where
         greedy ``(.*)`` groups would put them, found in linear time.
         """
-        segments = self._segments
-        if len(segments) == 1:
-            return () if value == segments[0] else None
-        head, tail = segments[0], segments[-1]
+        head, tail, inner = self._plan
+        if inner is None:
+            return () if value == head else None
         lo, hi = len(head), len(value) - len(tail)
         if hi < lo or not value.startswith(head) or not value.endswith(tail):
             return None
         gaps = []
-        for lit in reversed(segments[1:-1]):
+        for lit in inner:
             at = value.rfind(lit, lo, hi)
             if at < 0:
                 return None
             gaps.append(value[at + len(lit) : hi])
             hi = at
         gaps.append(value[lo:hi])
-        return tuple(reversed(gaps))
+        gaps.reverse()
+        return tuple(gaps)
 
     def matches(self, value: str) -> bool:
         return self._match(value) is not None

@@ -5,11 +5,13 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcskit import (
+    SizeGuardError,
     breakpoints,
     common_chars,
     derive_run_seed,
@@ -305,6 +307,24 @@ def _digest(outputs):
     return hashlib.sha256(joined).hexdigest()[:16]
 
 
+def kept_strings(scanner):
+    """The strings a scanner scans, read back from its count table: each
+    text character adds one to its own column of ``cum``."""
+    if not scanner.alphabet:
+        return [""]
+    chars = np.diff(scanner._cum, axis=0).argmax(axis=1).tolist()
+    text = "".join(scanner.alphabet[c] for c in chars)
+    return sorted(text[a:b] for a, b in zip(*scanner._bounds[:, 0].tolist()))
+
+
+def minimal_set(strs):
+    """Brute force: the distinct strings cut to the shared characters,
+    less every one that holds another."""
+    shared = set(common_chars(strs))
+    cut = {"".join(c for c in s if c in shared) for s in strs}
+    return sorted(s for s in cut if not any(t != s and is_subsequence(t, s) for t in cut))
+
+
 class TestReducedStrings:
     """The scanner deletes characters that are not shared and drops every
     string that holds another; neither changes a slot or a bag."""
@@ -334,6 +354,42 @@ class TestReducedStrings:
                 for w in ("", start):
                     outputs.append(sorted(run_many(strs, 60, 3, weighting, start=w).counts.items()))
         assert _digest(outputs) == NESTED_DIGEST
+
+    def test_kept_strings_are_the_minimal_set(self):
+        rng = random.Random(43)
+        families = [nested_family] * 150 + [held_family] * 80 + [sole_family] * 80
+        sets = [family(rng) for family in families] + generated_columns(5)
+        for strs in sets:
+            assert kept_strings(BreakpointScanner(tuple(strs))) == minimal_set(strs), strs
+
+    def test_timestamp_column_keeps_its_minimal_set(self):
+        # The order extract_pattern passes; a pass that stops at the first
+        # candidate dropping nothing keeps 312 of these values.
+        values = tuple(sorted(set(generated_columns(5)[0])))
+        assert BreakpointScanner(values)._bounds.shape[-1] == 72
+
+    def test_pass_continues_past_a_candidate_that_drops_nothing(self):
+        # "ab" drops nothing; "ba" then drops "bba".
+        assert kept_strings(BreakpointScanner(("ab", "ba", "bba"))) == ["ab", "ba"]
+
+    def test_antichain_of_varied_lengths_keeps_every_string(self):
+        # a^i b^(2(m - i)) holds a^j b^(2(m - j)) only when i = j.
+        strs = tuple("a" * i + "b" * (2 * (30 - i)) for i in range(1, 30))
+        assert kept_strings(BreakpointScanner(strs)) == sorted(strs)
+
+    def test_guard_counts_the_strings_as_given(self, monkeypatch):
+        # Every string holds "ab", so the scanner keeps 2 of 1,640 characters.
+        strs = tuple("ab" * k for k in range(1, 41))
+        need = 13 * 2 * (1640 + 2)
+        monkeypatch.setattr(_engine, "MAX_TABLE_BYTES", need - 1)
+        with pytest.raises(SizeGuardError) as caught:
+            BreakpointScanner(strs)
+        assert str(caught.value) == (
+            f"scanner tables would need about {need} bytes for 2 shared characters over "
+            f"1640 characters (> MAX_TABLE_BYTES = {need - 1})"
+        )
+        monkeypatch.setattr(_engine, "MAX_TABLE_BYTES", need)
+        assert BreakpointScanner(strs)._sole == "ab"
 
     def test_column_outputs_pinned(self):
         # Recorded before the scanner reduced its strings.

@@ -23,28 +23,27 @@ walks the strings through it and drops every string that holds
 another. On sets that nest, the pass runs on to the minimal set, where
 no kept string holds another; on a set where no string holds another it
 stops after about one candidate, and :data:`LEAST_WORK` bounds it in
-between. Then the tables are built over the text of the kept strings,
-and the scan, the batch and the count gather are sized from them: a
-column whose values all hold one value is scanned over that one. When a
-single string is left, it is the only maximal common subsequence, and a
-search returns it for every run without drawing.
+between. When the pass drops a string, the tables are built again over
+the text of the kept strings; otherwise the pass's table is kept. The
+scan, the batch and the count gather are sized from the kept strings:
+a column whose values all hold one value is scanned over that one. When
+a single string is left, it is the only maximal common subsequence, and
+a search returns it for every run without drawing.
 
-The kept strings, shared characters only, lie end to end in one text of
-n characters; boundary i of ``strings[l]`` is offset ``starts[l] + i``.
-When the pass keeps most of the text, building the tables again would
-cost more than it saves: the dropped strings then stay in the text,
-unread, and the pass's table is kept. Each table has one row per shared
-character over the boundaries of that text, about 12 bytes per shared
-character and text character in all. A lookup that finds no c left in
-a string lands in a later string or past the text, beyond the string's
-end, and the kernel cannot tell that miss from a hit. So callers pass
-only common subsequences: ``randomized._searcher`` checks a nonempty
-``start`` before it starts a search, and a run adds only bag characters.
+The text holds exactly the kept strings, shared characters only, end
+to end: n characters, and boundary i of ``strings[l]`` is offset
+``starts[l] + i``. Each table has one row per shared character over the
+boundaries of that text, about 12 bytes per shared character and text
+character in all. A lookup that finds no c left in a string lands in a
+later string or past the text, beyond the string's end, and the kernel
+cannot tell that miss from a hit. So callers pass only common
+subsequences: ``randomized._searcher`` checks a nonempty ``start``
+before it starts a search, and a run adds only bag characters.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import compress, islice
 from random import Random
 from typing import Iterable, Iterator
 
@@ -111,7 +110,7 @@ class BreakpointScanner:
         # takes s's greedy embeddings of w[:k] and w[k:] into t, so t's own
         # end no later and start no earlier; s's middle then embeds in t's,
         # and s alone sets every minimum. The nesting pass drops such t
-        # (_least) before the tables are built.
+        # (_least), and the tables cover the kept strings alone.
         # When one string t is left, every given string holds t, so t is
         # common; and a common w, made of shared characters, embeds in t's
         # string as given and so in t. So t is the one maximal common
@@ -147,31 +146,22 @@ class BreakpointScanner:
             hit = self._codes[:, None] == text
         lengths = np.array([len(s) for s in strings], dtype=np.int32)
         tables = self._lookup(text, hit)
-        bounds = _bounds(lengths)
-        self._sole = strings[0] if len(strings) == 1 else None
         # Distinct strings of one length hold none of each other.
-        shortest = int(lengths.min())
-        if shortest < lengths.max():
-            alive = self._least(strings, hit, bounds, tables[0])
-            kept = np.flatnonzero(alive)
-            if len(kept) == 1:
-                self._sole = strings[kept[0]]
-            # Building the three tables over the kept text costs less than
-            # building the other two over the whole text: then the pass's
-            # nxt is dropped and all three are built there. Otherwise the
-            # dropped strings stay in the text, unread, and the pass's nxt
-            # is the scanner's.
-            if 3 * int(lengths.take(kept).sum()) < 2 * len(text):
+        if lengths.min() < lengths.max():
+            alive = self._least(strings, hit, _bounds(lengths), tables[0])
+            # The pass's nxt serves the scan unless it dropped a string:
+            # then the tables are built again over the kept strings' text.
+            if not alive.all():
                 del tables
-                text = text[alive.repeat(lengths)]
+                strings = tuple(compress(strings, alive))
+                text = code_points("".join(strings))
                 hit = self._codes[:, None] == text
                 tables = self._lookup(text, hit)
-                bounds = _bounds(lengths.take(kept))
-            elif len(kept) < len(strings):
-                bounds = bounds[:, :, kept]
-        self._bounds = bounds
+                lengths = lengths[alive]
+        self._sole = strings[0] if len(strings) == 1 else None
+        self._bounds = _bounds(lengths)
         n = len(text)
-        n_str = bounds.shape[2]
+        n_str = len(strings)
 
         self._tables = tables
         # lst: offset of the last c before the boundary (-1 when none); its
@@ -202,7 +192,7 @@ class BreakpointScanner:
         # gathered slot takes 8 bytes per string and shared character, and 8
         # per string for its ends: 12 per string and character bounds both
         # from two shared characters on.
-        per_run = (shortest + 1) * (25 * n_str + 4 * len(shared)) + 2_500
+        per_run = (int(lengths.min()) + 1) * (25 * n_str + 4 * len(shared)) + 2_500
         self.batch = max(1, ROUND_BYTES // per_run)
         self._piece = max(1, ROUND_BYTES // (12 * n_str * max(len(shared), 1)))
 

@@ -285,6 +285,21 @@ def held_family(rng):
     return tuple(strs)
 
 
+def light_family(rng):
+    """Strings of varied lengths, one or two of which extend another by a
+    character or two: the pass drops those and keeps most of the text."""
+    strs = ["".join(rng.choice(NEST_POOL) for _ in range(rng.randint(14, 22)))
+            for _ in range(rng.randint(5, 8))]
+    for _ in range(rng.randint(1, 2)):
+        s = rng.choice(strs)
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randint(0, len(s))
+            s = s[:i] + rng.choice(NEST_POOL) + s[i:]
+        strs.append(s)
+    rng.shuffle(strs)
+    return tuple(strs)
+
+
 def generated_columns(seed):
     """Three 2,000-value columns: timestamps, order ids and addresses."""
     rng = random.Random(seed)
@@ -297,7 +312,10 @@ def generated_columns(seed):
     ]
 
 
+# a^i b^(2(m - i)) holds a^j b^(2(m - j)) only when i = j.
+ANTICHAIN = tuple("a" * i + "b" * (2 * (30 - i)) for i in range(1, 30))
 NESTED_DIGEST = "7442af9dd7dbb34b"
+LIGHT_DIGEST = "95622db2378b55b1"
 COLUMN_TEMPLATES = ["2015-*-*T*:*", "ORD-*-*", "192.168.*.*"]
 COLUMN_DIGEST = "b3e5577f5730b6e6"
 
@@ -309,7 +327,10 @@ def _digest(outputs):
 
 def kept_strings(scanner):
     """The strings a scanner scans, read back from its count table: each
-    text character adds one to its own column of ``cum``."""
+    text character adds one to its own column of ``cum``. They fill the
+    text end to end, so no character goes unscanned."""
+    starts, ends = scanner._bounds[:, 0].tolist()
+    assert starts == [0, *ends[:-1]] and ends[-1] == len(scanner._cum) - 1
     if not scanner.alphabet:
         return [""]
     chars = np.diff(scanner._cum, axis=0).argmax(axis=1).tolist()
@@ -331,7 +352,7 @@ class TestReducedStrings:
 
     def test_slots_agree_with_contract_on_nested_sets(self):
         rng = random.Random(41)
-        for family in [nested_family] * 120 + [held_family] * 60:
+        for family in [nested_family] * 120 + [held_family] * 60 + [light_family] * 40:
             strs = family(rng)
             assert_slots_agree(strs, common_subsequences_sample(rng, strs))
 
@@ -355,9 +376,23 @@ class TestReducedStrings:
                     outputs.append(sorted(run_many(strs, 60, 3, weighting, start=w).counts.items()))
         assert _digest(outputs) == NESTED_DIGEST
 
+    def test_seeded_outputs_pinned_on_lightly_nested_sets(self):
+        # Recorded while the scanner kept the strings the pass dropped from
+        # these sets in its text, unread.
+        rng = random.Random(79)
+        outputs = []
+        for _ in range(40):
+            strs = light_family(rng)
+            start = one_mcs(strs)[:2]
+            for weighting in ("uniform", "frequency"):
+                for w in ("", start):
+                    outputs.append(sorted(run_many(strs, 60, 3, weighting, start=w).counts.items()))
+        assert _digest(outputs) == LIGHT_DIGEST
+
     def test_kept_strings_are_the_minimal_set(self):
         rng = random.Random(43)
-        families = [nested_family] * 150 + [held_family] * 80 + [sole_family] * 80
+        families = ([nested_family] * 150 + [held_family] * 80 + [sole_family] * 80
+                    + [light_family] * 80)
         sets = [family(rng) for family in families] + generated_columns(5)
         for strs in sets:
             assert kept_strings(BreakpointScanner(tuple(strs))) == minimal_set(strs), strs
@@ -373,9 +408,18 @@ class TestReducedStrings:
         assert kept_strings(BreakpointScanner(("ab", "ba", "bba"))) == ["ab", "ba"]
 
     def test_antichain_of_varied_lengths_keeps_every_string(self):
-        # a^i b^(2(m - i)) holds a^j b^(2(m - j)) only when i = j.
-        strs = tuple("a" * i + "b" * (2 * (30 - i)) for i in range(1, 30))
-        assert kept_strings(BreakpointScanner(strs)) == sorted(strs)
+        assert kept_strings(BreakpointScanner(ANTICHAIN)) == sorted(ANTICHAIN)
+
+    def test_tables_are_built_again_only_when_the_pass_drops_a_string(self, monkeypatch):
+        built = []
+        lookup = BreakpointScanner._lookup
+        monkeypatch.setattr(BreakpointScanner, "_lookup",
+                            lambda self, text, hit: built.append(len(text)) or lookup(self, text, hit))
+        for strs, sizes in [(("abca", "bcab", "cabc"), [12]), (ANTICHAIN, [1305]),
+                            (("ab", "ba", "bba", "abab"), [11, 4])]:
+            built.clear()
+            BreakpointScanner(strs)
+            assert built == sizes, strs
 
     def test_guard_counts_the_strings_as_given(self, monkeypatch):
         # Every string holds "ab", so the scanner keeps 2 of 1,640 characters.

@@ -10,8 +10,8 @@ with the contract primitives in :mod:`mcskit.subsequence`.
 :meth:`BreakpointScanner.search` advances batches of seeded runs in
 lockstep through it, one call a round, and keeps each subsequence's
 answer for the rest of the search, so repeated runs scan each distinct
-subsequence once. :data:`ROUND_BYTES` sizes the batch and the count
-gather, and bounds what a search keeps.
+subsequence once. :data:`ROUND_BYTES` bounds every :meth:`slots` call
+at its length, the batch by its runs' state, and what a search keeps.
 
 Only characters common to every string can ever appear in a bag or in a
 common subsequence, so the constructor deletes every other character
@@ -25,10 +25,10 @@ no kept string holds another; on a set where no string holds another it
 stops after about one candidate, and :data:`LEAST_WORK` bounds it in
 between. When the pass drops a string, the tables are built again over
 the text of the kept strings; otherwise the pass's table is kept. The
-scan, the batch and the count gather are sized from the kept strings:
-a column whose values all hold one value is scanned over that one. When
-a single string is left, it is the only maximal common subsequence, and
-a search returns it for every run without drawing.
+scan and its chunks are sized from the kept strings: a column whose
+values all hold one value is scanned over that one. When a single
+string is left, it is the only maximal common subsequence, and a
+search returns it for every run without drawing.
 
 The text holds exactly the kept strings, shared characters only, end
 to end: n characters, and boundary i of ``strings[l]`` is offset
@@ -52,11 +52,10 @@ import numpy as np
 from ._validation import UNIFORM, SizeGuardError
 from .subsequence import is_subsequence
 
-# Byte budget of one lockstep round. It fixes how many runs advance
-# together (their cursor arrays and count columns fit in it at the
-# longest possible subsequence) and how many slots one count gather
-# covers. It also bounds the scanned subsequences one search keeps: at
-# 1 byte a search keeps none and every run scans every round.
+# Byte budget of one lockstep round: a slots call scans as many
+# subsequences at a time as fit in it at their length, and a batch takes
+# as many runs as their generators' state fits in it. It also bounds what
+# one search keeps: at 1 byte it keeps no scan, and every run scans every round.
 ROUND_BYTES = 1 << 20
 
 # Cap on a scanner's build, in bytes: the tables and the build's mask
@@ -99,8 +98,8 @@ class BreakpointScanner:
 
     Building the occurrence tables is linear in total input size, so a
     scanner is constructed once per set of searches and queried once per
-    round with the growing subsequences. ``batch`` is the number of runs
-    that advance together under :data:`ROUND_BYTES`.
+    round with the growing subsequences. ``batch`` runs advance together,
+    as many as their generators' state fits in :data:`ROUND_BYTES`.
     """
 
     def __init__(self, strings: tuple[str, ...]):
@@ -160,9 +159,7 @@ class BreakpointScanner:
                 lengths = lengths[alive]
         self._sole = strings[0] if len(strings) == 1 else None
         self._bounds = _bounds(lengths)
-        n = len(text)
-        n_str = len(strings)
-
+        n, n_str = len(text), len(strings)
         self._tables = tables
         # lst: offset of the last c before the boundary (-1 when none); its
         # column n + 1 is never read.
@@ -184,17 +181,8 @@ class BreakpointScanner:
         # The flat offset of each table row, once per string.
         rows = np.arange(0, tables.size, n + 2, dtype=np.int32)
         self._row_offsets = rows.repeat(n_str).reshape(-1, n_str)
-
-        # Per run, a round holds about 25 bytes per slot and string (cursors,
-        # lookup offsets, the slot's two ends, a comparison) and 4 per slot
-        # and shared character, for m + 1 slots with m at most the shortest
-        # string; the run's random generator keeps 2.5 KB of state. One
-        # gathered slot takes 8 bytes per string and shared character, and 8
-        # per string for its ends: 12 per string and character bounds both
-        # from two shared characters on.
-        per_run = (int(lengths.min()) + 1) * (25 * n_str + 4 * len(shared)) + 2_500
-        self.batch = max(1, ROUND_BYTES // per_run)
-        self._piece = max(1, ROUND_BYTES // (12 * n_str * max(len(shared), 1)))
+        # A run's random generator keeps about 2.5 KB of state; slots bounds the scan.
+        self.batch = max(1, ROUND_BYTES // 2_500)
 
     def _lookup(self, text: np.ndarray, hit: np.ndarray) -> np.ndarray:
         """Room for both cursor tables over ``text``, with nxt filled.
@@ -294,7 +282,18 @@ class BreakpointScanner:
         ``len(ks)`` x sigma matrix ``bags`` is slot ``ks[p]``'s bag, the
         minimum count of each shared character over its middle substrings.
         A subsequence with no live slot gets ``[]`` and a 0 x sigma matrix.
+
+        Per string, each of a subsequence's m + 1 slots takes 8 bytes for
+        each of its cursors, lookup offsets, ends and gathered ends, 8 per
+        shared character for its gathered counts, and 8 for the rest: ``ws``
+        is scanned in chunks that fit in :data:`ROUND_BYTES` at this m.
         """
+        per = (len(ws[0]) + 1) * self._bounds.shape[2] * 8 * (len(self.alphabet) + 5)
+        r = max(1, ROUND_BYTES // per)
+        return [a for i in range(0, len(ws), r) for a in self._scan(ws[i : i + r])]
+
+    def _scan(self, ws: list[str]) -> list[tuple[list[int], np.ndarray]]:
+        """:meth:`slots` over one chunk ``ws``, all at once."""
         r, n_str, m = len(ws), self._bounds.shape[2], len(ws[0])
         # The table rows the greedy embeddings read: forward each w's
         # alphabet indices (its code points' positions in the ascending
@@ -328,12 +327,9 @@ class BreakpointScanner:
         # counts[p, c]: the minimum over strings of c's occurrences in the
         # middles of candidate p, gathered string-major so the minimum runs
         # over whole rows. The difference overwrites the suffix half.
-        counts = np.empty((len(cand), len(self.alphabet)), dtype=np.int32)
-        for a in range(0, len(cand), self._piece):
-            at = ends.take(cand[a : a + self._piece], axis=1).transpose(0, 2, 1)
-            gathered = self._cum.take(at, axis=0)
-            np.subtract(gathered[1], gathered[0], out=gathered[1])
-            np.minimum.reduce(gathered[1], axis=0, out=counts[a : a + self._piece])
+        gathered = self._cum.take(ends.take(cand, axis=1).transpose(0, 2, 1), axis=0)
+        np.subtract(gathered[1], gathered[0], out=gathered[1])
+        counts = np.minimum.reduce(gathered[1], axis=0)
         live = np.logical_or.reduce(counts, axis=1).nonzero()[0]
         # Cell j * (m + 1) + k is slot k of ws[j]. Cells ascend, so ws[j]'s
         # live slots end at cuts[j], where cell (j + 1) * (m + 1) would go.
@@ -347,11 +343,12 @@ class BreakpointScanner:
 
         Runs grow from ``start``, which the caller has checked, and are
         taken :attr:`batch` at a time. A batch advances in lockstep, one
-        character a round; a run leaves once it has no live slot, its
-        subsequence then being its result. Each run draws as a lone run
-        would from its own ``Random(seed)``: a slot from its live slots in
-        slot order, then a character from that slot's bag in alphabet
-        order, with Python-int weights unless ``weighting`` is uniform.
+        character a round, one :meth:`slots` call a round, which bounds its
+        own scan; a run leaves once it has no live slot, its subsequence
+        then being its result. Each run draws as a lone run would from its
+        own ``Random(seed)``: a slot from its live slots in slot order, then
+        a character from that slot's bag in alphabet order, with Python-int
+        weights unless ``weighting`` is uniform.
 
         The live slots of a subsequence depend on nothing else, and
         repeated runs keep reaching the same ones, so a round passes
@@ -383,12 +380,13 @@ class BreakpointScanner:
                 fresh = {w: None for _, w in active if w not in seen}
                 found = dict(zip(fresh, self.slots(list(fresh)))) if fresh else {}
                 if keep and found:
-                    # Sizes as sys.getsizeof reads them: 128 for the round's bag matrix;
-                    # per entry its bag rows, 8 a slot (36 in a key past 256, whose slot
-                    # indices pass the cached ints), 56 + 56 + 128 for its tuple, list and
-                    # view, 76 + 4 a character for its key, and 48 for its dict slot.
-                    size = 128 + sum(b.nbytes + (8 if len(w) <= 256 else 36) * len(ks) + 364
-                                     + 4 * len(w) for w, (ks, b) in found.items())
+                    # Sizes as sys.getsizeof reads them: per entry its bag rows, 8 a slot
+                    # (36 in a key past 256, whose slot indices pass the cached ints),
+                    # 56 + 56 + 128 for its tuple, list and view, 76 + 4 a character for
+                    # its key, and 48 for its dict slot; 128 for each chunk's bag matrix.
+                    size = sum(b.nbytes + (8 if len(w) <= 256 else 36) * len(ks) + 364
+                               + 4 * len(w) for w, (ks, b) in found.items())
+                    size += 128 * len({id(b.base) for _, b in found.values()})
                     if held + size <= ROUND_BYTES:
                         seen.update(found)
                         held += size

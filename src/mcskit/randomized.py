@@ -166,7 +166,9 @@ def required_runs(p: float, eps: float) -> int:
     """
     check_unit_open(p, "p")
     check_unit_open(eps, "eps")
-    return math.ceil(math.log(eps) / math.log1p(-p))
+    if (runs := math.log(eps) / math.log1p(-p)) == math.inf:
+        raise ValueError(f"p={p!r} and eps={eps!r} need more runs than a float can hold")
+    return math.ceil(runs)
 
 
 def probability_lower_bound(n_common: int, distinguisher_len: int) -> float:

@@ -2,8 +2,10 @@
 primitives: same slots, same bags, same search outputs."""
 
 import hashlib
+import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from mcskit import (
     middle,
     one_mcs,
     random_mcs,
+    random_strings,
     run_many,
 )
 from mcskit import _engine, randomized
@@ -142,6 +145,32 @@ class TestScanEquivalence:
         for strs in [("",), ("", "abc"), ("a",), ("abc", "abc", "abc"), ("\U0001f600",),
                      ("a" * 40, "b" * 40), ("ab", ""), ("\ud800", "\U0001f600")]:
             assert_slots_agree(strs, ["", ""])
+
+
+class TestRoundBudget:
+    def test_a_slots_call_stays_within_its_budget(self, monkeypatch):
+        # A whole level: the 565 common subsequences of length 5 of 200
+        # random strings of length 46 over 4 characters.
+        strs = tuple(random_strings(200, 46, 4, seed=0))
+        monkeypatch.setattr(_engine, "ROUND_BYTES", 1 << 16)
+        scanner = BreakpointScanner(strs)
+        level = ["".join(w) for w in itertools.product(scanner.alphabet, repeat=5)]
+        level = [w for w in level if all(is_subsequence(w, s) for s in strs)]
+        assert len(level) == 565
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            got = scanner.slots(level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One subsequence's round takes about 86 KB here, past the budget,
+        # so each chunk holds one, and the answers hold about 0.23 MiB: the
+        # call peaked at 0.31 MiB. Scanned in one round, it took 15.4 MiB.
+        assert peak < 1 << 20
+        monkeypatch.setattr(_engine, "ROUND_BYTES", 1 << 40)
+        want = BreakpointScanner(strs).slots(level)
+        assert [(ks, b.tolist()) for ks, b in got] == [(ks, b.tolist()) for ks, b in want]
 
 
 # Seeded outputs recorded before the plain-Python scan was removed; that

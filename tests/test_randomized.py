@@ -198,6 +198,11 @@ class TestRequiredRuns:
         assert math.isclose(required_runs(1e-17, 0.01), 460_517_018_598_809_135, rel_tol=1e-15)
         assert required_runs(1e-12, 0.01) == 4_605_170_185_986
 
+    def test_too_many_runs_for_a_float(self):
+        # log1p(-5e-324) is -5e-324, so the quotient overflows to infinity.
+        with pytest.raises(ValueError, match=r"p=5e-324 and eps=0\.01"):
+            required_runs(5e-324, 0.01)
+
     def test_guarantee_is_sufficient(self):
         # (1-p)^T <= eps for the returned T.
         for p, eps in [(1 / 3, 0.01), (0.25, 0.001), (0.9, 0.2)]:
@@ -285,7 +290,7 @@ REPEATED_SETS = st.tuples(
 
 class TestLockstepRuns:
     """Runs advanced together equal runs made one at a time, across every
-    batch and gather-piece boundary."""
+    batch and slots-chunk boundary."""
 
     @pytest.mark.parametrize(
         "budget", [1, 4096, 1 << 40], ids=["one-run-batches", "memo-fills-partway", "one-batch"]
@@ -307,8 +312,9 @@ class TestLockstepRuns:
             for i in range(runs)
         ]
         with pytest.MonkeyPatch.context() as mp:
-            # A 1-byte budget makes every batch one run and every gather one
-            # slot, and keeps no scanned subsequence; 4096 bytes keep some.
+            # A 1-byte budget makes every batch one run and every slots chunk
+            # one subsequence, and keeps no scanned subsequence; 4096 bytes
+            # keep some.
             mp.setattr(_engine, "ROUND_BYTES", budget)
             assert list(_seeded_runs(strs, runs, master, weighting, start)) == single
 
@@ -323,7 +329,7 @@ class TestLockstepRuns:
         runs = _seeded_runs(TOY, 10**6, 0, "uniform", "")
         assert derived == []
         first = next(runs)
-        # The round budget bounds the batch: 370 runs on TOY.
+        # The round budget bounds the batch by the runs' state: 419 runs.
         assert 0 < len(derived) <= _engine.BreakpointScanner(TOY).batch
         assert first == random_mcs(TOY, seed=derive_run_seed(0, 0))
 

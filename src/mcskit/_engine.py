@@ -6,7 +6,7 @@ Its constructor builds numpy occurrence tables, capped by
 subsequences of one length, scans every slot of each over every string
 at once, one flat ``take`` a step over all R x L cursors, and answers
 per subsequence: its live slots and their bags. The tests compare those
-with the contract primitives in :mod:`mcskit.subsequence`.
+with :mod:`mcskit.subsequence`, which the engine does not import.
 :meth:`BreakpointScanner.search` advances batches of seeded runs in
 lockstep through it, one call a round, and keeps each subsequence's
 answer for the rest of the search, so repeated runs scan each distinct
@@ -18,17 +18,18 @@ common subsequence, so the constructor deletes every other character
 from the strings, and the tables cover just the shared ones. A string
 that holds another one as a subsequence never sets a bag or closes a
 slot, so the constructor reduces first and builds second: it builds
-one next-occurrence table over the reduced strings, and a nesting pass
-walks the strings through it and drops every string that holds
-another. On sets that nest, the pass runs on to the minimal set, where
-no kept string holds another; on a set where no string holds another it
-stops after about one candidate, and :data:`LEAST_WORK` bounds it in
-between. When the pass drops a string, the tables are built again over
-the text of the kept strings; otherwise the pass's table is kept. The
-scan and its chunks are sized from the kept strings: a column whose
-values all hold one value is scanned over that one. When a single
-string is left, it is the only maximal common subsequence, and a
-search returns it for every run without drawing.
+one next-occurrence table over the reduced text, and a nesting pass
+walks candidates, read from that text, through it and drops every
+string that holds another. On sets that nest, the pass runs on to the
+minimal set, where no kept string holds another; on a set where no
+string holds another it stops after about one candidate, and
+:data:`LEAST_WORK` bounds it in between. When the pass drops a string,
+the text is masked to the kept strings and the tables are built again;
+otherwise the pass's table is kept. The scan and its chunks are sized
+from the kept strings: a column whose values all hold one value is
+scanned over that one. When a single string is left, it is the only
+maximal common subsequence, and a search returns it for every run
+without drawing.
 
 The text holds exactly the kept strings, shared characters only, end
 to end: n characters, and boundary i of ``strings[l]`` is offset
@@ -43,14 +44,13 @@ before it starts a search, and a run adds only bag characters.
 
 from __future__ import annotations
 
-from itertools import compress, islice
+from itertools import islice
 from random import Random
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from ._validation import UNIFORM, SizeGuardError
-from .subsequence import is_subsequence
 
 # Byte budget of one lockstep round: a slots call scans as many
 # subsequences at a time as fit in it at their length, and a batch takes
@@ -147,19 +147,18 @@ class BreakpointScanner:
         tables = self._lookup(text, hit)
         # Distinct strings of one length hold none of each other.
         if lengths.min() < lengths.max():
-            alive = self._least(strings, hit, _bounds(lengths), tables[0])
+            alive = self._least(text, hit, _bounds(lengths), tables[0])
             # The pass's nxt serves the scan unless it dropped a string:
             # then the tables are built again over the kept strings' text.
             if not alive.all():
                 del tables
-                strings = tuple(compress(strings, alive))
-                text = code_points("".join(strings))
+                text = text[np.repeat(alive, lengths)]
                 hit = self._codes[:, None] == text
                 tables = self._lookup(text, hit)
                 lengths = lengths[alive]
-        self._sole = strings[0] if len(strings) == 1 else None
+        n, n_str = len(text), len(lengths)
+        self._sole = text.tobytes().decode("utf-32-le", "surrogatepass") if n_str == 1 else None
         self._bounds = _bounds(lengths)
-        n, n_str = len(text), len(strings)
         self._tables = tables
         # lst: offset of the last c before the boundary (-1 when none); its
         # column n + 1 is never read.
@@ -201,11 +200,11 @@ class BreakpointScanner:
         np.minimum.accumulate(nxt[:, ::-1], axis=1, out=nxt[:, ::-1])
         return tables
 
-    def _least(self, strings: tuple[str, ...], hit: np.ndarray, bounds: np.ndarray,
+    def _least(self, text: np.ndarray, hit: np.ndarray, bounds: np.ndarray,
                nxt: np.ndarray) -> np.ndarray:
-        """Mask of the strings that hold no other string, as far as
-        :data:`LEAST_WORK` reaches, over the text whose mask is ``hit``
-        and whose next-occurrence table is ``nxt``.
+        """Mask of the strings of ``text`` that hold no other string, as
+        far as :data:`LEAST_WORK` reaches; ``hit`` is the text's mask and
+        ``nxt`` its next-occurrence table.
 
         Candidates are tried shortest first, a chunk of one length at a
         time. A string is tested against a candidate only when it is
@@ -216,10 +215,9 @@ class BreakpointScanner:
         before it: a pass that runs to the end leaves the minimal set.
         A candidate that drops nothing does not end the pass.
 
-        A chunk walks its candidates over their strings through ``nxt``,
-        all at once, one ``take`` a character. When there are fewer
-        strings to test than a candidate has characters, as for a few long
-        strings, each is tested with ``is_subsequence`` instead.
+        A chunk reads its candidates from ``text``, one ``take`` of their
+        offsets, and walks them over their strings through ``nxt``, all at
+        once, one ``take`` a character: the pass's one containment test.
 
         The work counts one unit per count compared and per character
         walked. The pass may do :data:`LEAST_WORK` units, plus 3 sigma for
@@ -256,17 +254,13 @@ class BreakpointScanner:
             p += g
             if not len(t):
                 continue
-            if size <= len(t):
-                # at[j, a]: the flat offset in nxt of chunk[a]'s j-th row.
-                walked = code_points("".join([strings[a] for a in chunk.tolist()]))
-                at = self._codes.searchsorted(walked).reshape(g, size).T * width
-                cur = starts.take(t)
-                for step in at:
-                    cur = flat.take(step.take(s) + cur)
-                held = t[cur <= ends.take(t)]
-            else:
-                held = [b for a, b in zip(chunk.take(s).tolist(), t.tolist())
-                        if is_subsequence(strings[a], strings[b])]
+            # at[j, a]: the flat offset in nxt of the row of chunk[a]'s j-th character.
+            walked = text.take(starts.take(chunk) + np.arange(size)[:, None])
+            at = self._codes.searchsorted(walked) * width
+            cur = starts.take(t)
+            for step in at:
+                cur = flat.take(step.take(s) + cur)
+            held = t[cur <= ends.take(t)]
             if len(held):
                 alive[held] = False
                 kept = alive.take(order)

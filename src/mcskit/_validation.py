@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from numbers import Real
+from numbers import Integral, Real
 from typing import Iterable
 
 UNIFORM = "uniform"
@@ -38,11 +38,12 @@ def check_weighting(weighting: str) -> str:
 
 
 def check_count(value: int, name: str, minimum: int = 1) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    """Validate an integer count, numpy integers included, as a Python int."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
+    return int(value)
 
 
 def check_unit_open(value: float, name: str) -> float:

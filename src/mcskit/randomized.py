@@ -110,7 +110,7 @@ def random_mcs(
     vacuously maximal). Deterministic given (strings, seed, weighting,
     start).
     """
-    check_count(seed, "seed", minimum=0)
+    seed = check_count(seed, "seed", minimum=0)
     return next(_searcher(strings, [seed], weighting, start))
 
 
@@ -121,8 +121,8 @@ def _seeded_runs(
     ``0..runs-1``; run ``i`` equals
     ``random_mcs(strings, seed=derive_run_seed(master_seed, i), ...)``.
     """
-    check_count(runs, "runs")
-    check_count(master_seed, "seed", minimum=0)
+    runs = check_count(runs, "runs")
+    master_seed = check_count(master_seed, "seed", minimum=0)
     seeds = (derive_run_seed(master_seed, i) for i in range(runs))
     return _searcher(strings, seeds, weighting, start)
 
@@ -147,7 +147,7 @@ def run_many(
     another never change a result, and the scanner drops them.
     """
     counts = Counter(_seeded_runs(strings, runs, master_seed, weighting, start))
-    return RunSummary(total_runs=runs, counts=dict(counts))
+    return RunSummary(total_runs=counts.total(), counts=dict(counts))
 
 
 def longest_of_runs(

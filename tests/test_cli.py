@@ -337,6 +337,23 @@ class TestProfileCommand:
         assert code == 2 and out == ""
         assert "['a']" in err
 
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n\n"])
+    def test_header_without_data_rows_is_usage_error(self, capsys, tmp_path, text):
+        p = tmp_path / "header_only.csv"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "profile", "--csv", str(p))
+        assert code == 2 and out == ""
+        assert f"{p} has a header but no data rows" in err
+
+    @pytest.mark.parametrize("text", ["x" * 131_073 + "\n1\n", "a\n" + "x" * 131_073 + "\n"])
+    def test_field_over_the_csv_limit_is_usage_error(self, capsys, tmp_path, text):
+        # csv's default field_size_limit is 131,072 characters.
+        p = tmp_path / "wide.csv"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "profile", "--csv", str(p))
+        assert code == 2 and out == ""
+        assert f"{p} is not parseable CSV: field larger than field limit" in err
+
     def test_byte_order_mark_is_not_part_of_the_header(self, capsys, tmp_path):
         p = tmp_path / "excel.csv"
         p.write_text("\ufeffa,b\n1x,POP-A1\n2x,POP-B2\n", encoding="utf-8")

@@ -26,7 +26,7 @@ from mcskit import (
     random_strings,
     run_many,
 )
-from mcskit import _engine, randomized
+from mcskit import _engine, randomized, subsequence
 from mcskit._engine import BreakpointScanner
 from mcskit.randomized import _seeded_runs
 from tests.conftest import random_instance
@@ -75,6 +75,14 @@ def assert_slots_agree(strs, ws, scanner=None):
     for group in groups.values():
         for w, got in zip(group, slot_scan(scanner, group), strict=True):
             assert got == contract_scan(strs, w), (strs, w, group)
+
+
+def test_engine_imports_nothing_from_the_contract_module():
+    # The tests hold the engine to mcskit.subsequence, so the engine does
+    # not use it.
+    for value in vars(_engine).values():
+        assert value is not subsequence
+        assert getattr(value, "__module__", None) != subsequence.__name__, value
 
 
 class TestScanEquivalence:
@@ -423,6 +431,11 @@ class TestReducedStrings:
         families = ([nested_family] * 150 + [held_family] * 80 + [sole_family] * 80
                     + [light_family] * 80)
         sets = [family(rng) for family in families] + generated_columns(5)
+        # Two long candidates tested against one string each: a string that
+        # holds the shorter, and one with every count but not the order.
+        short = "".join(rng.choice("abcd") for _ in range(300))
+        sets += [(short, "".join(c + rng.choice("abcd") * 2 for c in short)),
+                 (short, "".join(sorted(short * 3)))]
         for strs in sets:
             assert kept_strings(BreakpointScanner(tuple(strs))) == minimal_set(strs), strs
 

@@ -1,7 +1,10 @@
-"""The package's public export list and README's library quickstart."""
+"""The package's public export list, README's library quickstart and the
+string-collection check its entry points share."""
 
 import re
 from pathlib import Path
+
+import pytest
 
 import mcskit
 
@@ -26,3 +29,17 @@ def test_readme_quickstart_runs():
     exec(block, scope)
     assert scope["summary"].longest == "GAP"
     assert scope["est"].pattern_str_ == "POP-*"
+
+
+@pytest.mark.parametrize("entry", [
+    mcskit.random_mcs,
+    lambda strings: mcskit.run_many(strings, 3),
+    mcskit.lcs_dp,
+    mcskit.one_mcs,
+    mcskit.extract_pattern,
+], ids=["random_mcs", "run_many", "lcs_dp", "one_mcs", "extract_pattern"])
+def test_entry_points_reject_what_is_not_a_collection_of_str(entry):
+    with pytest.raises(TypeError, match="expected a collection of strings, got a single str"):
+        entry("abc")
+    with pytest.raises(TypeError, match="string #1 is bytes, expected str"):
+        entry(["abc", b"abc"])

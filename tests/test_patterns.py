@@ -5,6 +5,7 @@ import random
 import re
 import time
 
+import numpy as np
 import pytest
 
 from mcskit import (
@@ -149,6 +150,7 @@ class TestExtractPattern:
             ({"seed": -1}, ValueError),
             ({"weighting": "sometimes"}, ValueError),
             ({"runs": True}, TypeError),
+            ({"runs": np.float64(3)}, TypeError),
         ],
     )
     def test_bad_search_arguments_rejected(self, kwargs, error):
@@ -314,6 +316,10 @@ class TestPatternExtractor:
         est = PatternExtractor(n_runs=5, random_state=0)
         assert est.fit_transform(v for v in POPS) == [("A1",), ("B2",)]
         assert est.pattern_str_ == "POP-*"
+
+    def test_numpy_integer_params_fit_as_ints(self):
+        est = PatternExtractor(n_runs=np.int64(10), random_state=np.int64(0)).fit(DATES)
+        assert est.pattern_ == PatternExtractor(n_runs=10).fit(DATES).pattern_
 
     def test_transform_requires_fit(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +103,18 @@ class TestRandomMCS:
             random_mcs(TOY, seed=True)
         with pytest.raises(ValueError):
             random_mcs([])
+
+    def test_numpy_integers_count_as_ints(self):
+        # Parameter grids hand over numpy integers; they act as the equal int.
+        assert random_mcs(PAIR, seed=np.int64(3)) == random_mcs(PAIR, seed=3)
+        summary = run_many(PAIR, np.int64(5), np.uint8(2))
+        assert summary == run_many(PAIR, 5, 2)
+        assert type(summary.total_runs) is int
+        for bad in (True, 3.0, np.float64(3)):
+            with pytest.raises(TypeError, match="seed must be an int"):
+                random_mcs(PAIR, seed=bad)
+            with pytest.raises(TypeError, match="runs must be an int"):
+                run_many(PAIR, bad)
 
 
 class TestRunMany:

@@ -5,14 +5,14 @@ subsequences.
 Both refuse oversized inputs instead of hanging. ``lcs_dp`` is guarded
 by the product of the string lengths plus one, the cells a dense DP
 table would need, although its contour fill keeps one entry per LCS
-value rather than one per prefix of the longest string; enumeration is
-exponential in the shortest string. They serve as ground truth for the
-randomized search and back the ``lcs`` CLI command.
+value rather than one per prefix of the longest string, and it admits
+at most 23 nonempty strings; enumeration is exponential in the shortest
+string. They serve as ground truth for the randomized search and back
+the ``lcs`` CLI command.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from itertools import combinations
 from typing import Callable, Iterable
@@ -23,40 +23,37 @@ from ._engine import code_points
 from ._validation import SizeGuardError, check_strings
 from .subsequence import is_subsequence
 
-MAX_LCS_STRINGS = 4
 MAX_LCS_CELLS = 10_000_000
 MAX_ENUM_STRINGS = 4
 MAX_ENUM_SHORTEST = 12
 
 
 def lcs_dp(strings: Iterable[str]) -> str:
-    """One longest common subsequence of up to four strings.
+    """One longest common subsequence of the strings, of any count.
 
     The guard counts the prod(len(s) + 1) cells of the dense DP table and
-    caps them at 10**7; one string or an empty string needs no table and
-    skips it. The fill loops over the shortest string and keeps, per LCS
-    value, the least prefix of the longest string that reaches it (see
-    ``_fill_table``), so it stores and scans far fewer entries than the
-    guard counts. Ties are broken deterministically by preferring to drop
-    the last character of the lowest-indexed string, so repeated calls
-    agree whatever the roles; the length is unique even where the string
-    is not.
+    caps them at 10**7, so at most 23 nonempty strings pass; one string
+    or an empty string needs no table and skips it. The fill loops over
+    the shortest string and keeps, per LCS value, the least prefix of the
+    longest string that reaches it (see ``_fill_table``), so it stores
+    and scans far fewer entries than the guard counts. Ties are broken
+    deterministically by preferring to drop the last character of the
+    lowest-indexed string, so repeated calls agree whatever the roles;
+    the length is unique even where the string is not.
     """
     strs = check_strings(strings)
-    if len(strs) > MAX_LCS_STRINGS:
-        raise SizeGuardError(
-            f"lcs_dp handles at most {MAX_LCS_STRINGS} strings, got {len(strs)}"
-        )
     if any(not s for s in strs):
         return ""
     if len(strs) == 1:
         return strs[0]
-    cells = math.prod(len(s) + 1 for s in strs)
-    if cells > MAX_LCS_CELLS:
-        raise SizeGuardError(
-            f"lcs_dp table would need {cells} cells (> {MAX_LCS_CELLS}); "
-            "use the randomized search instead"
-        )
+    # Counting stops at the cap. Each string at least doubles the count,
+    # so at most 23 pass and the table has at most 22 axes, under numpy's 32.
+    cells = 1
+    for s in strs:
+        cells *= len(s) + 1
+        if cells > MAX_LCS_CELLS:
+            raise SizeGuardError(f"lcs_dp table would need more than {MAX_LCS_CELLS} cells; "
+                                 "use the randomized search instead")
 
     return _backtrack(strs, _fill_table(strs))
 

@@ -25,11 +25,16 @@ def alphabet(size: int) -> str:
     """Deterministic alphabet of ``size`` distinct characters.
 
     Letters and digits first, then consecutive code points from U+00C0
-    for anything larger (not all letters: size 86 adds U+00D7 ``×``).
+    for anything larger (not all letters: size 86 adds U+00D7 ``×``), up
+    to the last one before the surrogates at U+D800: 55,166 in all.
     """
     check_count(size, "size")
     if size <= len(_BASE62):
         return _BASE62[:size]
+    # Lone surrogates cannot be written as UTF-8.
+    most = len(_BASE62) + 0xD800 - 0xC0
+    if size > most:
+        raise ValueError(f"size must be <= {most}, got {size}")
     return _BASE62 + "".join(chr(0xC0 + i) for i in range(size - len(_BASE62)))
 
 

@@ -87,6 +87,21 @@ def test_lcs_recovery_at_scale():
     assert elapsed < 600.0, f"took {elapsed:.1f}s"
 
 
+def test_lcs_recovery_past_four_strings():
+    """20 instances of 5 random strings (length 24, alphabet 6), whose
+    exact LCS the cell guard admits: the longest of 30 runs matches its
+    length on at least 19. Instance families 0 to 3 gave 20, 19, 19 and
+    20 agreements at 30 runs, and 15, 15, 17 and 17 at 10 runs; family 0
+    is the first. The exact LCS of all 20 takes about 0.2 s."""
+    agree = 0
+    for i in range(20):
+        strs = random_strings(5, 24, 6, seed=derive_run_seed(0, i))
+        best = longest_of_runs(strs, 30, master_seed=i)
+        assert all(is_subsequence(best, s) for s in strs)
+        agree += len(best) == len(lcs_dp(strs))
+    assert agree >= 19, f"only {agree}/20 matched the exact LCS length"
+
+
 def test_constrained_mcs():
     """Requiring the subsequence 'GP' on the worked pair forces 'GAP' in
     every one of 1,000 runs."""

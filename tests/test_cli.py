@@ -114,11 +114,11 @@ class TestLcsCommand:
         assert out.splitlines() == ["GAP", "length 3"]
 
     def test_guard_violation_exits_3(self, capsys, tmp_path):
-        p = tmp_path / "five.txt"
-        p.write_text("a\na\na\na\na\n", encoding="utf-8")
+        p = tmp_path / "four.txt"
+        p.write_text(("x" * 100 + "\n") * 4, encoding="utf-8")
         code, _, err = run(capsys, "lcs", "--input", str(p))
         assert code == 3
-        assert "at most" in err
+        assert "cells" in err
 
     def test_byte_order_mark_is_not_a_character(self, capsys, tmp_path):
         p = tmp_path / "bom.txt"
@@ -205,6 +205,13 @@ class TestSimulateCommand:
         meta = json.loads((out_dir / "meta.json").read_text())
         assert meta["kind"] == "planted"
         assert [len(p) for p in meta["planted"]] == [2, 3]
+
+    def test_alphabet_past_the_surrogates_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "simulate", "random", "--l", "1", "--n", "5000",
+            "--alphabet", "60000", "--seed", "0", "--out", str(tmp_path / "x"),
+        )
+        assert code == 2 and "55166" in err
 
     def test_oversubscribed_plant_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(

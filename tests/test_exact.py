@@ -174,10 +174,23 @@ class TestLcsDp:
             assert lcs_dp(strs) == got
 
     def test_guards(self):
+        # The cell guard is the only cap: five strings pass, and 24
+        # nonempty ones never do, since each at least doubles the count.
+        assert lcs_dp(["a"] * 5) == "a"
         with pytest.raises(SizeGuardError):
-            lcs_dp(["a"] * 5)
+            lcs_dp(["a"] * 24)
         with pytest.raises(SizeGuardError):
             lcs_dp(["x" * 100, "x" * 100, "x" * 100, "x" * 100])
+
+    def test_guard_stops_counting_at_the_cap(self):
+        # The product of 200,000 factors of 3 would take about a second to
+        # form and has more digits than Python converts to a string.
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardError) as caught:
+            lcs_dp(["ab"] * 200_000)
+        assert time.perf_counter() - start < 0.1
+        message = str(caught.value)
+        assert "\n" not in message and len(message) < 200
 
     def test_trivial_inputs_skip_the_cell_guard(self):
         # No table is built for a single string.
@@ -218,23 +231,29 @@ class TestLcsDp:
 
     def test_matches_dense_reference_on_seeded_sets(self):
         # Tie-heavy and non-ASCII sets, with the shortest string moved to
-        # the front, the middle and the back of each.
+        # the front, the middle and the back of each; identical orders are
+        # checked once. The sets past four strings stay under the cell guard
+        # and use at most 3 letters, so their LCS is often nonempty; the
+        # 23-string set is "a" 23 times, whose table has 22 axes.
         rng = random.Random(23)
         chars = "ab\u00e9\U0001f600\ud800c"
         checked = 0
-        for n_strings, max_len in ((2, 40), (3, 16), (4, 9), (2, 120), (3, 40)):
-            for _ in range(40):
-                sigma = rng.randint(1, len(chars))
+        families = [(2, 40, 6, 40), (3, 16, 6, 40), (4, 9, 6, 40), (2, 120, 6, 40), (3, 40, 6, 40),
+                    (5, 12, 3, 20), (6, 8, 3, 20), (8, 5, 2, 20), (12, 3, 2, 10), (20, 1, 2, 4),
+                    (23, 1, 2, 1)]
+        for n_strings, max_len, max_sigma, n_sets in families:
+            for _ in range(n_sets):
+                sigma = rng.randint(1, max_sigma)
                 strs = [
                     "".join(rng.choice(chars[:sigma]) for _ in range(rng.randint(1, max_len)))
                     for _ in range(n_strings)
                 ]
                 shortest = strs.pop(strs.index(min(strs, key=len)))
-                for at in sorted({0, n_strings // 2, n_strings - 1}):
-                    case = strs[:at] + [shortest] + strs[at:]
+                orders = (strs[:at] + [shortest] + strs[at:] for at in (0, n_strings // 2, n_strings - 1))
+                for case in dict.fromkeys(map(tuple, orders)):
                     assert lcs_dp(case) == reference_lcs(case), case
                     checked += 1
-        assert checked == 520
+        assert checked == 738
 
     def test_shortest_string_sets_the_loop(self):
         # 9,000,003 cells pass the guard; the loop runs over "ab" in

@@ -31,6 +31,13 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             alphabet(0)
 
+    def test_stops_before_the_surrogates(self):
+        chars = alphabet(55_166)
+        assert len(set(chars)) == 55_166
+        assert not any(0xD800 <= ord(c) <= 0xDFFF for c in chars)
+        with pytest.raises(ValueError, match="55166"):
+            alphabet(55_167)
+
 
 class TestRandomStrings:
     def test_shapes_and_alphabet(self):

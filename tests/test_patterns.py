@@ -221,6 +221,10 @@ class TestRenderPattern:
         assert render_pattern(ColumnPattern((WILDCARD,))) == "*"
         assert render_pattern(ColumnPattern(("a*b",))) == "a\\*b"
 
+    def test_wildcard_repr(self):
+        assert repr(WILDCARD) == "WILDCARD"
+        assert repr(ColumnPattern(("POP-", WILDCARD))) == "ColumnPattern(tokens=('POP-', WILDCARD))"
+
     def test_escaping_round_trips_through_matcher(self):
         # Parse the rendered form back into tokens; matching behavior of
         # the reconstruction must agree with the original.
@@ -320,6 +324,10 @@ class TestPatternExtractor:
     def test_numpy_integer_params_fit_as_ints(self):
         est = PatternExtractor(n_runs=np.int64(10), random_state=np.int64(0)).fit(DATES)
         assert est.pattern_ == PatternExtractor(n_runs=10).fit(DATES).pattern_
+
+    def test_repr_names_every_parameter(self):
+        est = PatternExtractor(n_runs=60, weighting="frequency", random_state=3)
+        assert repr(est) == "PatternExtractor(n_runs=60, random_state=3, weighting='frequency')"
 
     def test_transform_requires_fit(self):
         with pytest.raises(ValueError):

@@ -284,6 +284,10 @@ class TestEstimatorInterface:
         with pytest.raises(ValueError):
             est.set_params(bogus=1)
 
+    def test_repr_names_every_parameter(self):
+        est = RandomMCS(n_runs=5)
+        assert repr(est) == "RandomMCS(n_runs=5, random_state=0, start='', weighting='uniform')"
+
     def test_sklearn_clone_compatibility(self):
         sklearn = pytest.importorskip("sklearn.base")
         est = RandomMCS(n_runs=5, random_state=8)

@@ -15,6 +15,7 @@ from mcskit import (
     is_subsequence,
     middle,
     random_mcs,
+    rightmost_positions,
 )
 from tests.conftest import random_instance
 
@@ -44,6 +45,26 @@ class TestIsSubsequence:
     def test_every_string_contains_itself_and_empty(self, s):
         assert is_subsequence(s, s)
         assert is_subsequence("", s)
+
+
+class TestRightmostPositions:
+    def test_examples(self):
+        assert rightmost_positions("GA", "GAEGAP") == [3, 4]
+        assert rightmost_positions("", "GAP") == []
+        assert rightmost_positions("PA", "TEGAP") is None
+
+    def test_is_the_greatest_embedding(self):
+        # Every embedding is an increasing index tuple; the greatest in
+        # lexicographic order, or None where w has none.
+        rng = random.Random(5)
+        for _ in range(300):
+            w, s = random_instance(rng, 1, 4, 3, min_len=0) + random_instance(rng, 1, 8, 3, min_len=0)
+            embeddings = [
+                list(picks)
+                for picks in combinations(range(len(s)), len(w))
+                if all(s[i] == c for i, c in zip(picks, w))
+            ]
+            assert rightmost_positions(w, s) == max(embeddings, default=None), (w, s)
 
 
 class TestMiddle:
